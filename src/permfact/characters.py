@@ -172,9 +172,9 @@ class CharacterTable:
 
     SCHEMA_VERSION = 1
 
-    def __init__(self, n, values, max_n=DEFAULT_MAX_N):
-        self.n = n
-        self.index = enumerate_partitions(n, max_n=max_n)
+    def __init__(self, index, values):
+        self.n = index.n
+        self.index = index
         self.values = tuple(tuple(row) for row in values)
 
     def row(self, lam):
@@ -187,8 +187,7 @@ class CharacterTable:
         return self.values[self.index.position(lam)][0]
 
 
-def _table_rows(n, lams):
-    index = enumerate_partitions(n)
+def _table_rows(index, lams):
     return [[_mn(lam, nu) for nu in index] for lam in lams]
 
 
@@ -201,14 +200,14 @@ def build_character_table(n, max_n=DEFAULT_MAX_N, jobs=1):
         from concurrent.futures import ProcessPoolExecutor
         chunks = [lams[i::jobs] for i in range(jobs)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = pool.map(_table_rows, [n] * len(chunks), chunks)
+            parts = pool.map(_table_rows, [index] * len(chunks), chunks)
         by_lam = {}
         for chunk, rows in zip(chunks, parts):
             by_lam.update(zip(chunk, rows))
         values = [by_lam[lam] for lam in lams]
     else:
-        values = _table_rows(n, lams)
-    table = CharacterTable(n, values, max_n=max_n)
+        values = _table_rows(index, lams)
+    table = CharacterTable(index, values)
     for pos, lam in enumerate(index):
         if table.values[pos][0] != dimension_hook_formula(lam):
             raise RuntimeError(f"strip recursion and hook formula disagree "
@@ -249,7 +248,7 @@ def load_table(path, n, max_n=DEFAULT_MAX_N):
     values = [[int(v) for v in row] for row in payload["values"]]
     if len(values) != len(index) or any(len(r) != len(index) for r in values):
         raise ValueError("cache shape mismatch")
-    return CharacterTable(n, values, max_n=max_n)
+    return CharacterTable(index, values)
 
 
 def character_table_cached(n, cache_dir=None, jobs=1, max_n=DEFAULT_MAX_N):

@@ -27,14 +27,30 @@ class UsageError(Exception):
     pass
 
 
+def _ceiling(args, n, least=1):
+    """The CLI's one size check, least <= n <= --max-n. Returns the keyword
+    that hands the ceiling on to the library, which checks it again where
+    the partition index is made."""
+    if n is None or n < least:
+        raise UsageError(f"{args.command} needs --n >= {least}")
+    if n > args.max_n:
+        raise UsageError(f"n={n} exceeds ceiling {args.max_n}")
+    return {"max_n": args.max_n}
+
+
 def _resolve_mu(args):
     mu = serialize.parse_partition(args.mu)
     n = sum(mu)
     if args.n is not None and args.n != n:
         raise UsageError(f"--mu {args.mu} sums to {n}, not --n {args.n}")
-    if n > args.max_n:
-        raise UsageError(f"n={n} exceeds ceiling {args.max_n}")
-    return mu, n
+    return mu, n, _ceiling(args, n)
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _cache_dir(args):
@@ -44,7 +60,7 @@ def _cache_dir(args):
 
 
 def cmd_count(args, out):
-    mu, n = _resolve_mu(args)
+    mu, n, ceiling = _resolve_mu(args)
     methods = [args.method] if args.method != "all" else None
     if methods is None:
         methods = ["spectral", "matrix"]
@@ -58,10 +74,10 @@ def cmd_count(args, out):
     for method in methods:
         if method == "spectral":
             table = character_table_cached(n, cache_dir=_cache_dir(args),
-                                           jobs=args.jobs, max_n=args.max_n)
-            value = count_spectral(mu, args.k, table=table, max_n=args.max_n)
+                                           jobs=args.jobs, **ceiling)
+            value = count_spectral(mu, args.k, table=table)
         elif method == "matrix":
-            value = count_matrix_method(mu, args.k, max_n=args.max_n)
+            value = count_matrix_method(mu, args.k, **ceiling)
         elif method == "goulden":
             if len(mu) != 1:
                 raise UsageError("goulden method needs a single-part mu")
@@ -69,7 +85,7 @@ def cmd_count(args, out):
         elif method == "two-cycle":
             if len(mu) != 2:
                 raise UsageError("two-cycle method needs a two-part mu")
-            value = count_two_cycle(mu[0], mu[1], args.k, max_n=args.max_n)
+            value = count_two_cycle(mu[0], mu[1], args.k, **ceiling)
         else:  # brute
             if n > BRUTE_MAX_N:
                 raise UsageError(f"brute method capped at n <= {BRUTE_MAX_N}")
@@ -97,12 +113,9 @@ def cmd_count(args, out):
 
 
 def cmd_matrix(args, out):
-    if args.n is None or args.n < 2:
-        raise UsageError("matrix needs --n >= 2")
-    if args.n > args.max_n:
-        raise UsageError(f"n={args.n} exceeds ceiling {args.max_n}")
-    index = enumerate_partitions(args.n, max_n=args.max_n)
-    matrix = build_transition_matrix(args.n, max_n=args.max_n)
+    ceiling = _ceiling(args, args.n, least=2)
+    index = enumerate_partitions(args.n, **ceiling)
+    matrix = build_transition_matrix(args.n, **ceiling)
     pairs = sorted(((rho(lam), lam) for lam in index)) if args.eigen else None
     if args.format == "json":
         out.write(serialize.matrix_json(index, matrix, eigen=pairs))
@@ -112,14 +125,7 @@ def cmd_matrix(args, out):
             for r, lam in pairs:
                 out.write(f"eigenvalue,{serialize.partition_label(lam)},{r}\n")
     else:
-        labels = [serialize.partition_label(lam) for lam in index]
-        width = max(max(len(s) for s in labels),
-                    max(len(str(v)) for row in matrix for v in row))
-        out.write(" " * (width + 2)
-                  + " ".join(f"{s:>{width}}" for s in labels) + "\n")
-        for label, row in zip(labels, matrix):
-            out.write(f"{label:>{width}}: "
-                      + " ".join(f"{v:>{width}}" for v in row) + "\n")
+        out.write(serialize.matrix_text(index, matrix))
         if pairs:
             out.write("eigenvalues:\n")
             for r, lam in pairs:
@@ -128,33 +134,22 @@ def cmd_matrix(args, out):
 
 
 def cmd_chartable(args, out):
-    if args.n is None or args.n < 1:
-        raise UsageError("chartable needs --n >= 1")
-    if args.n > args.max_n:
-        raise UsageError(f"n={args.n} exceeds ceiling {args.max_n}")
     table = character_table_cached(args.n, cache_dir=_cache_dir(args),
-                                   jobs=args.jobs, max_n=args.max_n)
+                                   jobs=args.jobs, **_ceiling(args, args.n))
     if args.format == "json":
         out.write(serialize.chartable_json(table))
     elif args.format == "csv":
         out.write(serialize.chartable_csv(table))
     else:
-        labels = [serialize.partition_label(lam) for lam in table.index]
-        width = max(max(len(s) for s in labels),
-                    max(len(str(v)) for row in table.values for v in row))
-        out.write(" " * (width + 2)
-                  + " ".join(f"{s:>{width}}" for s in labels) + "\n")
-        for label, row in zip(labels, table.values):
-            out.write(f"{label:>{width}}: "
-                      + " ".join(f"{v:>{width}}" for v in row) + "\n")
+        out.write(serialize.matrix_text(table.index, table.values))
     return EXIT_OK
 
 
 def cmd_series(args, out):
-    mu, n = _resolve_mu(args)
+    mu, n, ceiling = _resolve_mu(args)
     table = character_table_cached(n, cache_dir=_cache_dir(args),
-                                   jobs=args.jobs, max_n=args.max_n)
-    prefix = series_prefix(mu, args.terms, table=table, max_n=args.max_n)
+                                   jobs=args.jobs, **ceiling)
+    prefix = series_prefix(mu, args.terms, table=table)
     if args.format == "json":
         out.write(serialize.series_json(prefix))
     elif args.format == "csv":
@@ -183,11 +178,7 @@ def cmd_verify(args, out):
 
 
 def cmd_partitions(args, out):
-    if args.n is None or args.n < 1:
-        raise UsageError("partitions needs --n >= 1")
-    if args.n > args.max_n:
-        raise UsageError(f"n={args.n} exceeds ceiling {args.max_n}")
-    index = enumerate_partitions(args.n, max_n=args.max_n)
+    index = enumerate_partitions(args.n, **_ceiling(args, args.n))
     if args.format == "json":
         out.write(serialize.partitions_json(index))
     elif args.format == "csv":
@@ -208,19 +199,23 @@ def build_parser():
                     "matrix-power, closed-form and brute-force methods.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, mu=False, k=False, terms=False):
+    def jobs(p):
+        p.add_argument("--jobs", type=_positive_int, default=1,
+                       help="parallel workers, at least 1; results are "
+                            "identical for any value")
+
+    def common(p, table=False, mu=False, k=False, terms=False):
         p.add_argument("--n", type=int, default=None,
                        help="size of the permutations")
         p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N,
                        help="ceiling override")
         p.add_argument("--format", choices=("text", "json", "csv"),
                        default="text")
-        p.add_argument("--cache-dir", default=None,
-                       help="character table cache directory "
-                            "(or PERMFACT_CACHE_DIR)")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="parallel workers; results are identical "
-                            "for any value")
+        if table:
+            p.add_argument("--cache-dir", default=None,
+                           help="character table cache directory "
+                                "(or PERMFACT_CACHE_DIR)")
+            jobs(p)
         if mu:
             p.add_argument("--mu", required=True,
                            help="cycle type, comma-separated parts")
@@ -232,7 +227,7 @@ def build_parser():
                            help="series coefficients to compute")
 
     p = sub.add_parser("count", help="count factorizations into k transpositions")
-    common(p, mu=True, k=True)
+    common(p, table=True, mu=True, k=True)
     p.add_argument("--method", default="all",
                    choices=("spectral", "matrix", "brute", "goulden",
                             "two-cycle", "all"))
@@ -245,15 +240,15 @@ def build_parser():
     p.set_defaults(func=cmd_matrix)
 
     p = sub.add_parser("chartable", help="emit the character table")
-    common(p)
+    common(p, table=True)
     p.set_defaults(func=cmd_chartable)
 
     p = sub.add_parser("series", help="generating function coefficients c_k/k!")
-    common(p, mu=True, terms=True)
+    common(p, table=True, mu=True, terms=True)
     p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("verify", help="run the cross-validation battery")
-    common(p)
+    jobs(p)
     p.add_argument("--deep", action="store_true",
                    help="raise all scale ceilings")
     p.set_defaults(func=cmd_verify)

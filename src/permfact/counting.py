@@ -23,14 +23,11 @@ def count_spectral(mu, k, table=None, max_n=DEFAULT_MAX_N):
     if k < 0:
         raise ValueError("k must be nonnegative")
     n = sum(mu)
-    index = enumerate_partitions(n, max_n=max_n)
     if table is None:
         table = build_character_table(n, max_n=max_n)
-    col = index.rank[mu]
-    total = 0
-    for pos, lam in enumerate(index):
-        row = table.values[pos]
-        total += row[0] * row[col] * rho(lam) ** k
+    col = table.index.position(mu)
+    total = sum(row[0] * row[col] * rho(lam) ** k
+                for lam, row in zip(table.index, table.values))
     nfact = factorial(n)
     if total % nfact != 0 or total < 0:
         raise RuntimeError(f"spectral sum {total} is not a nonnegative "

@@ -13,12 +13,12 @@ DEFAULT_MAX_N = 20
 
 
 def check_partition(lam):
-    """Validate that lam is a weakly decreasing tuple of positive integers."""
+    """Validate that lam is a weakly decreasing tuple of positive ints (no bools)."""
     lam = tuple(lam)
     if not lam:
         raise ValueError("partition must be nonempty")
     for p in lam:
-        if not isinstance(p, int) or p < 1:
+        if isinstance(p, bool) or not isinstance(p, int) or p < 1:
             raise ValueError(f"invalid part {p!r} in {lam}")
     for a, b in zip(lam, lam[1:]):
         if a < b:

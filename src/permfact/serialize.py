@@ -58,6 +58,16 @@ def matrix_csv(index, matrix):
     return buf.getvalue()
 
 
+def matrix_text(index, matrix):
+    labels = [partition_label(lam) for lam in index]
+    width = max(max(len(s) for s in labels),
+                max(len(str(v)) for row in matrix for v in row))
+    lines = [" " * (width + 2) + " ".join(f"{s:>{width}}" for s in labels)]
+    lines += [f"{label:>{width}}: " + " ".join(f"{v:>{width}}" for v in row)
+              for label, row in zip(labels, matrix)]
+    return "\n".join(lines) + "\n"
+
+
 def chartable_json(table):
     return dumps({
         "n": table.n,

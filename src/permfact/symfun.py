@@ -161,11 +161,10 @@ def schur_from_characters(lam, N, table=None):
     as nonnegative integers; anything else flags a broken table."""
     lam = check_partition(lam)
     n = sum(lam)
-    index = enumerate_partitions(n)
     if table is None:
         table = build_character_table(n)
     out = Poly(N)
-    for nu in index:
+    for nu in table.index:
         chi = table.value(lam, nu)
         if chi:
             out = out + expand_p(nu, N).scale(Fraction(chi, z_value(nu)))
@@ -295,7 +294,7 @@ def schur_p_coords(lam, table=None):
     """Power-sum coordinates of s_lam: chi^lam(nu)/z_nu per nu."""
     lam = check_partition(lam)
     n = sum(lam)
-    index = enumerate_partitions(n)
     if table is None:
         table = build_character_table(n)
-    return {nu: Fraction(table.value(lam, nu), z_value(nu)) for nu in index}
+    return {nu: Fraction(table.value(lam, nu), z_value(nu))
+            for nu in table.index}

@@ -159,11 +159,11 @@ def eigen_mismatches(n, matrix=None, table=None):
     """Locations (lam, nu) where A u_lam = rho_lam u_lam fails, with
     u_lam(nu) the irreducible character values along row lam."""
     from .characters import build_character_table
-    index = enumerate_partitions(n)
     if matrix is None:
         matrix = build_transition_matrix(n)
     if table is None:
         table = build_character_table(n)
+    index = table.index
     rows = sparse_rows(matrix)
     bad = []
     for lam in index:
@@ -183,11 +183,11 @@ def dual_eigen_mismatches(n, matrix=None, table=None):
     Checked in integers after clearing denominators by n!.
     """
     from .characters import build_character_table
-    index = enumerate_partitions(n)
     if matrix is None:
         matrix = build_transition_matrix(n)
     if table is None:
         table = build_character_table(n)
+    index = table.index
     nfact = factorial(n)
     weights = [nfact // z_value(nu) for nu in index]
     bad = []

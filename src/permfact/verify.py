@@ -100,8 +100,8 @@ def check_eigen_relations(n_max=10):
 def check_character_table(n_max=10):
     """Orthogonality, conjugation symmetry, hook dimensions, Burnside."""
     for n in range(1, n_max + 1):
-        index = enumerate_partitions(n)
         table = build_character_table(n)
+        index = table.index
         nfact = factorial(n)
         weights = [nfact // z_value(nu) for nu in index]
         size = len(index)
@@ -156,7 +156,7 @@ def check_mn_order_invariance(n_max=7):
 def check_counts_agree(n_max=8, k_max=16, brute_n_max=5, brute_k_max=6):
     for n in range(1, n_max + 1):
         table = build_character_table(n)
-        index = enumerate_partitions(n)
+        index = table.index
         if n >= 2:
             mat = transition.build_transition_matrix(n)
             e = [0] * len(index)
@@ -206,9 +206,8 @@ def check_two_cycle(n_max=8, k_max=10):
 
 def check_parity_vanishing(n_max=7, k_max=12):
     for n in range(2, n_max + 1):
-        index = enumerate_partitions(n)
         table = build_character_table(n)
-        for mu in index:
+        for mu in table.index:
             dist = n - len(mu)
             for k in range(k_max + 1):
                 c = count_spectral(mu, k, table=table)
@@ -221,10 +220,9 @@ def check_parity_vanishing(n_max=7, k_max=12):
 def check_mass_conservation(n_max=7, k_max=10):
     for n in range(2, n_max + 1):
         table = build_character_table(n)
-        index = enumerate_partitions(n)
         for k in range(k_max + 1):
             total = sum(class_size(mu) * count_spectral(mu, k, table=table)
-                        for mu in index)
+                        for mu in table.index)
             if total != comb(n, 2) ** k:
                 return _result("mass-conservation", False, f"(n={n}, k={k})")
     return _result("mass-conservation", True, f"n <= {n_max}, k <= {k_max}")
@@ -232,8 +230,8 @@ def check_mass_conservation(n_max=7, k_max=10):
 
 def check_dual_bases(n_max=10):
     for n in range(1, n_max + 1):
-        index = enumerate_partitions(n)
         table = build_character_table(n)
+        index = table.index
         for lam in index:
             u = table.row(lam)
             for mu in index:
@@ -247,9 +245,8 @@ def check_dual_bases(n_max=10):
 
 def check_omega(n_max=6):
     for n in range(1, n_max + 1):
-        index = enumerate_partitions(n)
         table = build_character_table(n)
-        for lam in index:
+        for lam in table.index:
             coords = symfun.schur_p_coords(lam, table=table)
             target = symfun.schur_p_coords(conjugate(lam), table=table)
             if symfun.omega_on_p(coords, n) != target:
@@ -262,8 +259,8 @@ def check_omega(n_max=6):
 
 def check_dstar(n_max=3, second_N=False):
     for n in range(1, n_max + 1):
-        index = enumerate_partitions(n)
         table = build_character_table(n)
+        index = table.index
         Ns = (n + 1, n + 2) if second_N else (n + 1,)
         for N in Ns:
             mat = symfun.matrix_of_dstar(n, N)

@@ -66,6 +66,27 @@ def test_max_n_override_raises_ceiling(capsys):
     assert "= 0" in out  # one transposition cannot produce a (12,9) type
 
 
+def test_max_n_honoured_past_default_ceiling(tmp_path, capsys):
+    cache = ["--cache-dir", str(tmp_path)]  # one n = 21 table build
+    runs = {"partitions": ["partitions", "--n", "21"],
+            "matrix": ["matrix", "--n", "21", "--format", "csv"],
+            "chartable": ["chartable", "--n", "21", "--format", "csv"] + cache,
+            "count": ["count", "--mu", "11,10", "--k", "3"] + cache,
+            "series": ["series", "--mu", "11,10", "--terms", "4"] + cache}
+    outs = {}
+    for name, argv in runs.items():
+        assert run_cli(argv, capsys)[0] == 2, name  # default ceiling is 20
+        code, outs[name], _ = run_cli(argv + ["--max-n", "25"], capsys)
+        assert code == 0, name
+    assert len(outs["partitions"].splitlines()) == 792
+    assert len(outs["matrix"].splitlines()) == 793
+    assert len(outs["chartable"].splitlines()) == 793
+    assert outs["count"].splitlines() == [
+        f"c_3(11+10) [{m}] = 0" for m in ("spectral", "matrix", "two-cycle")
+    ] + ["MATCH"]
+    assert outs["series"].startswith("f_11+10 coefficients: 0, 0, 0, 0\n")
+
+
 def test_cache_dir_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PERMFACT_CACHE_DIR", str(tmp_path))
     code, _, _ = run_cli(["chartable", "--n", "4"], capsys)
@@ -91,6 +112,21 @@ def test_usage_errors_exit_2(capsys):
                     "--method", "goulden"], capsys)[0] == 2
     assert run_cli(["matrix", "--n", "1"], capsys)[0] == 2
     assert run_cli(["partitions", "--n", "25"], capsys)[0] == 2
+    # options a subcommand does not read, and --jobs below 1, are refused
+    # by argparse itself
+    for argv in (["verify", "--format", "json"], ["verify", "--n", "5"],
+                 ["verify", "--max-n", "25"], ["verify", "--cache-dir", "X"],
+                 ["matrix", "--n", "3", "--cache-dir", "X"],
+                 ["matrix", "--n", "3", "--jobs", "2"],
+                 ["partitions", "--n", "4", "--cache-dir", "X"],
+                 ["partitions", "--n", "4", "--jobs", "2"],
+                 ["count", "--mu", "3,1", "--k", "2", "--jobs", "-3"],
+                 ["chartable", "--n", "3", "--jobs", "0"],
+                 ["series", "--mu", "3", "--terms", "2", "--jobs", "0"],
+                 ["verify", "--jobs", "0"], ["verify", "--jobs", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
 
 
 def test_matrix_output(capsys):

@@ -154,4 +154,8 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         series_prefix((2, 1), 0)
     with pytest.raises(ValueError):
+        count_spectral((True,), 0)
+    with pytest.raises(ValueError):  # a table of S_5 cannot count in S_4
+        count_spectral((3, 1), 2, table=build_character_table(5))
+    with pytest.raises(ValueError):
         count_goulden(0, 1)

@@ -66,6 +66,8 @@ def test_bounds_errors():
         check_partition((1, 2))
     with pytest.raises(ValueError):
         check_partition((3, 0))
+    with pytest.raises(ValueError):
+        check_partition((True,))
 
 
 def test_conjugate_examples():
