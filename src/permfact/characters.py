@@ -208,11 +208,17 @@ def build_character_table(n, max_n=DEFAULT_MAX_N, jobs=1):
     else:
         values = _table_rows(index, lams)
     table = CharacterTable(index, values)
-    for pos, lam in enumerate(index):
-        if table.values[pos][0] != dimension_hook_formula(lam):
-            raise RuntimeError(f"strip recursion and hook formula disagree "
-                               f"on the dimension of {lam}")
+    bad = dimension_offenders(table)
+    if bad:
+        raise RuntimeError(f"strip recursion and hook formula disagree "
+                           f"on the dimension of {bad[0]}")
     return table
+
+
+def dimension_offenders(table):
+    """Rows lam whose first column differs from the hook length formula."""
+    return [lam for lam, row in zip(table.index, table.values)
+            if row[0] != dimension_hook_formula(lam)]
 
 
 # ---------------------------------------------------------------------------
@@ -230,14 +236,28 @@ def save_table(table, path):
         "partitions": [list(lam) for lam in table.index],
         "values": [[str(v) for v in row] for row in table.values],
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    # a temporary file renamed into place: readers never see a torn table;
+    # tempfile is imported here, off the import path of every CLI run
+    import tempfile
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                               prefix=".chartable-", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_table(path, n, max_n=DEFAULT_MAX_N):
+    """Read a cached table. Raises ValueError or TypeError for anything
+    save_table would not have written for a correct table."""
     with open(path) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError("cache payload is not a JSON object")
     if payload.get("schema_version") != CharacterTable.SCHEMA_VERSION:
         raise ValueError("unsupported cache schema")
     if payload.get("n") != n:
@@ -245,10 +265,17 @@ def load_table(path, n, max_n=DEFAULT_MAX_N):
     index = enumerate_partitions(n, max_n=max_n)
     if [list(lam) for lam in index] != payload["partitions"]:
         raise ValueError("cache partition order mismatch")
-    values = [[int(v) for v in row] for row in payload["values"]]
+    # with an explicit base int() parses strings only, so a value written
+    # as a JSON number raises TypeError instead of being truncated
+    values = [[int(v, 10) for v in row] for row in payload["values"]]
     if len(values) != len(index) or any(len(r) != len(index) for r in values):
         raise ValueError("cache shape mismatch")
-    return CharacterTable(index, values)
+    table = CharacterTable(index, values)
+    bad = dimension_offenders(table)
+    if bad:
+        raise ValueError(f"cache dimension of {bad[0]} disagrees with the "
+                         f"hook length formula")
+    return table
 
 
 def character_table_cached(n, cache_dir=None, jobs=1, max_n=DEFAULT_MAX_N):

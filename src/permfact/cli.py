@@ -15,7 +15,7 @@ from .counting import (count_spectral, count_matrix_method, count_goulden,
                        count_two_cycle, series_prefix)
 from .oracle import count_brute, BRUTE_MAX_N, BRUTE_MAX_K
 from .partitions import enumerate_partitions, rho, DEFAULT_MAX_N
-from .transition import build_transition_matrix
+from .transition import build_transition_matrix, dense
 from .verify import run_battery
 
 EXIT_OK = 0
@@ -115,7 +115,7 @@ def cmd_count(args, out):
 def cmd_matrix(args, out):
     ceiling = _ceiling(args, args.n, least=2)
     index = enumerate_partitions(args.n, **ceiling)
-    matrix = build_transition_matrix(args.n, **ceiling)
+    matrix = dense(build_transition_matrix(args.n, **ceiling))
     pairs = sorted(((rho(lam), lam) for lam in index)) if args.eigen else None
     if args.format == "json":
         out.write(serialize.matrix_json(index, matrix, eigen=pairs))

@@ -91,6 +91,8 @@ def count_brute(mu, k, max_n=BRUTE_MAX_N, max_k=BRUTE_MAX_K):
     n = sum(mu)
     if n > max_n:
         raise ValueError(f"brute-force ceiling is n <= {max_n}, got n={n}")
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     if k > max_k:
         raise ValueError(f"brute-force ceiling is k <= {max_k}, got k={k}")
     _, index, vecs = walk_distributions(n, k)

@@ -7,6 +7,9 @@ n(n-1)/2, and iterating v -> A v from the unit vector at 1^n yields
 the factorization counts: (A^k e_{1^n})_mu counts ordered k-tuples of
 transpositions with product of type mu.
 
+A is held as sparse rows: per row t, a list of the (s, A[t][s]) pairs
+with A[t][s] != 0, s ascending. dense() alone makes the p(n) x p(n) view.
+
 The same entry is produced by closed formulas for the reverse move
 s -> t, with cycle multiplicities k_i read off the column partition s:
 
@@ -19,6 +22,7 @@ build_raw_counts constructs the matrix the literal way instead and is
 the oracle for these formulas.
 """
 
+from collections import Counter
 from math import factorial
 
 from .partitions import (enumerate_partitions, multiplicities, conjugate,
@@ -31,8 +35,7 @@ def build_transition_matrix(n, max_n=DEFAULT_MAX_N):
     if n < 2:
         raise ValueError("transition matrix needs n >= 2")
     index = enumerate_partitions(n, max_n=max_n)
-    size = len(index)
-    mat = [[0] * size for _ in range(size)]
+    rows = [Counter() for _ in index]
     for col, source in enumerate(index):
         k = multiplicities(source)
         base = list(source)
@@ -46,7 +49,7 @@ def build_transition_matrix(n, max_n=DEFAULT_MAX_N):
                     w = i * i * (k[i] + 1) * (k[i] + 2) // 2
                 else:
                     w = i * j * (k[i] + 1) * (k[j] + 1)
-                mat[index.rank[target]][col] += w
+                rows[index.rank[target]][col] += w
         # glues of two source parts i, j into m = i + j
         values = sorted(set(source))
         for a, i in enumerate(values):
@@ -56,8 +59,8 @@ def build_transition_matrix(n, max_n=DEFAULT_MAX_N):
                 m = i + j
                 target = _canon(_remove_one(_remove_one(base, i), j) + [m])
                 w = i * (k[m] + 1) if i == j else (i + j) * (k[m] + 1)
-                mat[index.rank[target]][col] += w
-    return mat
+                rows[index.rank[target]][col] += w
+    return [list(row.items()) for row in rows]  # columns came ascending
 
 
 def _remove_one(parts, value):
@@ -76,42 +79,46 @@ def build_raw_counts(n, max_n=DEFAULT_MAX_N):
     if n < 2:
         raise ValueError("raw counts need n >= 2")
     index = enumerate_partitions(n, max_n=max_n)
-    size = len(index)
     taus = transpositions(n)
-    mat = [[0] * size for _ in range(size)]
-    for row, t in enumerate(index):
+    rows = []
+    for t in index:
         alpha = class_representative(t)
-        for tau in taus:
-            mat[row][index.rank[cycle_type(compose(tau, alpha))]] += 1
-    return mat
+        tally = Counter(index.rank[cycle_type(compose(tau, alpha))]
+                        for tau in taus)
+        rows.append(sorted(tally.items()))
+    return rows
+
+
+def dense(rows):
+    """The p(n) x p(n) list of lists that sparse rows stand for."""
+    out = [[0] * len(rows) for _ in rows]
+    for line, pairs in zip(out, rows):
+        for j, v in pairs:
+            line[j] = v
+    return out
 
 
 def matrix_equality_offenders(n):
     """Entries where the formula matrix and the raw tally disagree, plus
     violations of the double-counting identity t_{ls}*|C_l| = t_{sl}*|C_s|."""
     index = enumerate_partitions(n)
-    formula = build_transition_matrix(n)
-    raw = build_raw_counts(n)
+    formula = [Counter(dict(row)) for row in build_transition_matrix(n)]
+    raw = [Counter(dict(row)) for row in build_raw_counts(n)]
     sizes = [class_size(lam) for lam in index]
     bad = []
-    for a in range(len(index)):
-        for b in range(len(index)):
-            if formula[a][b] != raw[a][b]:
+    for a, (f_row, r_row) in enumerate(zip(formula, raw)):
+        for b in sorted(f_row.keys() | r_row.keys()):
+            if f_row[b] != r_row[b]:
                 bad.append(("entry", index.ordered[a], index.ordered[b],
-                            formula[a][b], raw[a][b]))
-            if raw[a][b] * sizes[a] != raw[b][a] * sizes[b]:
+                            f_row[b], r_row[b]))
+            if r_row[b] * sizes[a] != raw[b][a] * sizes[b]:
                 bad.append(("double-count", index.ordered[a], index.ordered[b],
-                            raw[a][b] * sizes[a], raw[b][a] * sizes[b]))
+                            r_row[b] * sizes[a], raw[b][a] * sizes[b]))
     return bad
 
 
 def verify_matrix_equality(n):
     return not matrix_equality_offenders(n)
-
-
-def sparse_rows(matrix):
-    """Rows as (column, value) lists of the nonzero entries."""
-    return [[(j, v) for j, v in enumerate(row) if v] for row in matrix]
 
 
 def matrix_power_apply(matrix, k, vec):
@@ -120,28 +127,24 @@ def matrix_power_apply(matrix, k, vec):
         raise ValueError("k must be nonnegative")
     if len(vec) != len(matrix):
         raise ValueError("dimension mismatch")
-    rows = sparse_rows(matrix)
     v = list(vec)
     for _ in range(k):
-        v = [sum(val * v[j] for j, val in row) for row in rows]
+        v = [sum(val * v[j] for j, val in row) for row in matrix]
     return v
 
 
 def row_sums(matrix):
-    return [sum(row) for row in matrix]
+    return [sum(v for _, v in row) for row in matrix]
 
 
-def bipartite_offenders(n, matrix=None):
-    """Nonzero entries between partitions whose lengths do not differ by 1."""
-    index = enumerate_partitions(n)
+def bipartite_offenders(n, matrix=None, max_n=DEFAULT_MAX_N):
+    """Stored entries between partitions whose lengths do not differ by 1."""
+    index = enumerate_partitions(n, max_n=max_n)
     if matrix is None:
-        matrix = build_transition_matrix(n)
-    bad = []
-    for a, t in enumerate(index):
-        for b, s in enumerate(index):
-            if matrix[a][b] and abs(len(t) - len(s)) != 1:
-                bad.append((t, s, matrix[a][b]))
-    return bad
+        matrix = build_transition_matrix(n, max_n=max_n)
+    return [(t, index.ordered[b], v)
+            for t, row in zip(index, matrix) for b, v in row
+            if abs(len(t) - len(index.ordered[b])) != 1]
 
 
 def zero_multiplicity_lower_bound(n):
@@ -155,49 +158,44 @@ def zero_multiplicity_lower_bound(n):
     return len(self_conj)
 
 
+def _operands(n, matrix, table):
+    from .characters import build_character_table
+    return (build_transition_matrix(n) if matrix is None else matrix,
+            build_character_table(n) if table is None else table)
+
+
 def eigen_mismatches(n, matrix=None, table=None):
     """Locations (lam, nu) where A u_lam = rho_lam u_lam fails, with
     u_lam(nu) the irreducible character values along row lam."""
-    from .characters import build_character_table
-    if matrix is None:
-        matrix = build_transition_matrix(n)
-    if table is None:
-        table = build_character_table(n)
+    matrix, table = _operands(n, matrix, table)
     index = table.index
-    rows = sparse_rows(matrix)
     bad = []
     for lam in index:
         u = table.row(lam)
-        r = rho(lam)
-        for t_pos, nu in enumerate(index):
-            lhs = sum(val * u[j] for j, val in rows[t_pos])
-            if lhs != r * u[t_pos]:
-                bad.append((lam, nu))
-                break
+        lhs = [sum(val * u[j] for j, val in row) for row in matrix]
+        bad += _first_mismatch(lam, index, lhs, u)
     return bad
 
 
 def dual_eigen_mismatches(n, matrix=None, table=None):
-    """Same for the transpose: A^T w = rho w with w_nu = chi(nu)/z_nu.
-
-    Checked in integers after clearing denominators by n!.
-    """
-    from .characters import build_character_table
-    if matrix is None:
-        matrix = build_transition_matrix(n)
-    if table is None:
-        table = build_character_table(n)
+    """Same for the transpose, A^T w = rho w with w_nu = chi(nu)/z_nu, in
+    integers scaled by n!; A^T w is scattered from the rows of A."""
+    matrix, table = _operands(n, matrix, table)
     index = table.index
     nfact = factorial(n)
     weights = [nfact // z_value(nu) for nu in index]
     bad = []
     for lam in index:
-        u = table.row(lam)
-        w = [u[i] * weights[i] for i in range(len(index))]
-        r = rho(lam)
-        for t_pos, nu in enumerate(index):
-            lhs = sum(matrix[s_pos][t_pos] * w[s_pos] for s_pos in range(len(index)))
-            if lhs != r * w[t_pos]:
-                bad.append((lam, nu))
-                break
+        w = [x * y for x, y in zip(table.row(lam), weights)]
+        lhs = [0] * len(index)
+        for s_pos, row in enumerate(matrix):
+            for t_pos, val in row:
+                lhs[t_pos] += val * w[s_pos]
+        bad += _first_mismatch(lam, index, lhs, w)
     return bad
+
+
+def _first_mismatch(lam, index, lhs, vec):
+    """[(lam, nu)] for the first nu where lhs != rho(lam) * vec, else []."""
+    r = rho(lam)
+    return [(lam, nu) for nu, x, y in zip(index, lhs, vec) if x != r * y][:1]

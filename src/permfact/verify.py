@@ -13,7 +13,7 @@ from math import comb, factorial
 
 from . import oracle, transition, symfun
 from .characters import (build_character_table, bst_signed_count,
-                         dimension_hook_formula, mn_character, BST_MAX_N)
+                         dimension_offenders, mn_character, BST_MAX_N)
 from .counting import count_spectral, count_goulden, count_two_cycle
 from .partitions import (enumerate_partitions, conjugate, class_size, rho,
                          z_value, parity_census)
@@ -97,24 +97,32 @@ def check_eigen_relations(n_max=10):
     return _result("eigen-relations", True, f"n <= {n_max}")
 
 
+def _orthogonality_offenders(table):
+    """Row pairs a <= b of the table where sum_nu chi_a(nu) chi_b(nu) / z_nu
+    is not delta(a, b); checked in integers after scaling by n!.
+
+    Row-major order, so the first pair is also the first offending (a, b)
+    of the full square: the sum is symmetric in a and b."""
+    nfact = factorial(table.n)
+    weights = [nfact // z_value(nu) for nu in table.index]
+    for a, row_a in enumerate(table.values):
+        weighted = [w * x for w, x in zip(weights, row_a)]
+        for b in range(a, len(table.values)):
+            dot = sum(x * y for x, y in zip(weighted, table.values[b]))
+            if dot != (nfact if a == b else 0):
+                yield a, b
+
+
 def check_character_table(n_max=10):
     """Orthogonality, conjugation symmetry, hook dimensions, Burnside."""
     for n in range(1, n_max + 1):
         table = build_character_table(n)
         index = table.index
-        nfact = factorial(n)
-        weights = [nfact // z_value(nu) for nu in index]
-        size = len(index)
-        for a in range(size):
-            if table.values[a][0] != dimension_hook_formula(index.ordered[a]):
-                return _result("character-table", False,
-                               f"dimension at {index.ordered[a]}")
-            for b in range(a, size):
-                dot = sum(weights[i] * table.values[a][i] * table.values[b][i]
-                          for i in range(size))
-                if dot != (nfact if a == b else 0):
-                    return _result("character-table", False,
-                                   f"orthogonality at n={n} ({a},{b})")
+        for lam in dimension_offenders(table):
+            return _result("character-table", False, f"dimension at {lam}")
+        for a, b in _orthogonality_offenders(table):
+            return _result("character-table", False,
+                           f"orthogonality at n={n} ({a},{b})")
         for lam in index:
             conj_row = table.row(conjugate(lam))
             row = table.row(lam)
@@ -123,7 +131,7 @@ def check_character_table(n_max=10):
                 if conj_row[pos] != sign * row[pos]:
                     return _result("character-table", False,
                                    f"conjugation at ({lam}, {nu})")
-        if sum(table.values[a][0] ** 2 for a in range(size)) != nfact:
+        if sum(row[0] ** 2 for row in table.values) != factorial(n):
             return _result("character-table", False, f"Burnside at n={n}")
     return _result("character-table", True, f"n <= {n_max}")
 
@@ -229,17 +237,12 @@ def check_mass_conservation(n_max=7, k_max=10):
 
 
 def check_dual_bases(n_max=10):
+    """sum_nu chi^lam(nu) chi^mu(nu) / z_nu = delta(lam, mu)."""
     for n in range(1, n_max + 1):
         table = build_character_table(n)
-        index = table.index
-        for lam in index:
-            u = table.row(lam)
-            for mu in index:
-                w = [Fraction(v, z_value(nu))
-                     for v, nu in zip(table.row(mu), index)]
-                dot = sum(a * b for a, b in zip(u, w))
-                if dot != (1 if lam == mu else 0):
-                    return _result("dual-bases", False, f"({lam}, {mu})")
+        for a, b in _orthogonality_offenders(table):
+            return _result("dual-bases", False, f"({table.index.ordered[a]}, "
+                                                f"{table.index.ordered[b]})")
     return _result("dual-bases", True, f"n <= {n_max}")
 
 
@@ -264,10 +267,8 @@ def check_dstar(n_max=3, second_N=False):
         Ns = (n + 1, n + 2) if second_N else (n + 1,)
         for N in Ns:
             mat = symfun.matrix_of_dstar(n, N)
-            if n >= 2:
-                a = transition.build_transition_matrix(n)
-            else:
-                a = [[0]]
+            a = transition.dense(transition.build_transition_matrix(n)
+                                 if n >= 2 else [[]])
             size = len(index)
             for r in range(size):
                 for c in range(size):

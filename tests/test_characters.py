@@ -167,6 +167,22 @@ def test_cache_corruption_recovers(tmp_path, capsys):
     assert payload["schema_version"] == 1
 
 
+def test_cache_write_is_atomic(tmp_path, monkeypatch):
+    path = tmp_path / "chartable_n4.json"
+    save_table(build_character_table(4), str(path))
+    before = path.read_text()
+
+    def torn_dump(payload, fh, **kwargs):
+        fh.write('{"schema_version": 1, ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", torn_dump)
+    with pytest.raises(OSError):
+        save_table(build_character_table(4), str(path))
+    assert path.read_text() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["chartable_n4.json"]
+
+
 def test_cache_wrong_n_rejected(tmp_path):
     table = build_character_table(4)
     path = tmp_path / "t.json"

@@ -6,7 +6,7 @@ import pytest
 from permfact import serialize
 from permfact.cli import main, build_parser
 from permfact.partitions import enumerate_partitions
-from permfact.transition import build_transition_matrix
+from permfact.transition import build_transition_matrix, dense
 
 
 def run_cli(argv, capsys):
@@ -108,6 +108,8 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(["count", "--mu", "3,x", "--k", "2"], capsys)[0] == 2
     assert run_cli(["count", "--mu", "9,9,9", "--k", "1",
                     "--method", "brute"], capsys)[0] == 2
+    assert run_cli(["count", "--mu", "1,1,1", "--k", "-1",
+                    "--method", "brute"], capsys)[0] == 2
     assert run_cli(["count", "--mu", "3,1", "--k", "2",
                     "--method", "goulden"], capsys)[0] == 2
     assert run_cli(["matrix", "--n", "1"], capsys)[0] == 2
@@ -134,7 +136,7 @@ def test_matrix_output(capsys):
     assert code == 0
     payload = json.loads(out)
     entries = [[int(v) for v in row] for row in payload["entries"]]
-    assert entries == build_transition_matrix(4)
+    assert entries == dense(build_transition_matrix(4))
     assert payload["order"][0] == "1+1+1+1"
 
 
@@ -146,7 +148,7 @@ def test_matrix_csv_round_trip(capsys):
     assert lines[0].split(",")[1:] == \
         [serialize.partition_label(lam) for lam in index]
     parsed = [[int(v) for v in line.split(",")[1:]] for line in lines[1:]]
-    assert parsed == build_transition_matrix(5)
+    assert parsed == dense(build_transition_matrix(5))
 
 
 def test_matrix_eigen_listing(capsys):
@@ -174,6 +176,26 @@ def test_chartable_text_and_cache(tmp_path, capsys):
     assert code1 == code2 == 0
     assert out1 == out2  # byte-identical reruns
     assert (tmp_path / "chartable_n3.json").exists()
+
+
+def test_tampered_cache_warns_and_is_rebuilt(tmp_path, capsys):
+    argv = ["count", "--mu", "4", "--k", "3", "--method", "spectral"]
+    clean = run_cli(argv, capsys)[:2]
+    argv += ["--cache-dir", str(tmp_path)]
+    assert run_cli(argv, capsys)[:2] == clean
+    cache = tmp_path / "chartable_n4.json"
+    good = json.loads(cache.read_text())
+    # rows and columns run from 1^4 to (4); chi^(1^4)((4)) is "-1"
+    as_float = json.loads(json.dumps(good))
+    as_float["values"][0][-1] = 5.0
+    wrong_dim = json.loads(json.dumps(good))
+    wrong_dim["values"][0][0] = "5"
+    for payload in ([], as_float, wrong_dim):
+        cache.write_text(json.dumps(payload))
+        code, out, err = run_cli(argv, capsys)
+        assert "warning: ignoring corrupt cache" in err, payload
+        assert (code, out) == clean, payload
+        assert json.loads(cache.read_text()) == good  # rewritten
 
 
 def test_chartable_row_of_ones(capsys):

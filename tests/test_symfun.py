@@ -9,7 +9,7 @@ from permfact.symfun import (Poly, power_sum, expand_p, complete_homogeneous,
                              apply_dstar, matrix_of_dstar, p_basis_coords,
                              omega_on_p, schur_p_coords,
                              _divide_by_difference)
-from permfact.transition import build_transition_matrix
+from permfact.transition import build_transition_matrix, dense
 
 
 def test_power_sum_expansions():
@@ -66,7 +66,7 @@ def test_schur_eigenfunctions():
 def test_matrix_of_dstar_n2_example():
     # n=2, N=3: half the matrix minus 2(N-1) I is the transposed A_2
     M = matrix_of_dstar(2, 3)
-    A = build_transition_matrix(2)
+    A = dense(build_transition_matrix(2))
     for r in range(2):
         for c in range(2):
             expect = Fraction(A[c][r])
@@ -77,7 +77,7 @@ def test_matrix_of_dstar_n2_example():
 
 def test_matrix_of_dstar_matches_transition():
     for n in range(2, 5):
-        A = build_transition_matrix(n)
+        A = dense(build_transition_matrix(n))
         size = len(A)
         for N in (n + 1, n + 2):
             M = matrix_of_dstar(n, N)

@@ -9,7 +9,7 @@ from permfact.transition import (build_transition_matrix, build_raw_counts,
                                  verify_matrix_equality,
                                  matrix_equality_offenders,
                                  matrix_power_apply, row_sums,
-                                 bipartite_offenders,
+                                 bipartite_offenders, dense,
                                  zero_multiplicity_lower_bound,
                                  eigen_mismatches, dual_eigen_mismatches)
 
@@ -21,17 +21,17 @@ A4 = [[0, 6, 0, 0, 0],
 
 
 def test_a4_matrix():
-    assert build_transition_matrix(4) == A4
+    assert dense(build_transition_matrix(4)) == A4
 
 
 def test_a2_matrix():
-    assert build_transition_matrix(2) == [[0, 1], [1, 0]]
+    assert dense(build_transition_matrix(2)) == [[0, 1], [1, 0]]
 
 
 def test_single_entries_by_case():
     # split a 2 of (2,1,1) into 1+1: source multiplicity of 1 is 2
     index = enumerate_partitions(4)
-    m = build_transition_matrix(4)
+    m = dense(build_transition_matrix(4))
     assert m[index.rank[(1, 1, 1, 1)]][index.rank[(2, 1, 1)]] == 6
     # glue 2+2 of (2,2) into 4: source multiplicity of 4 is 0
     assert m[index.rank[(4,)]][index.rank[(2, 2)]] == 2
@@ -39,7 +39,7 @@ def test_single_entries_by_case():
 
 def test_raw_counts_211_row():
     index = enumerate_partitions(4)
-    raw = build_raw_counts(4)
+    raw = dense(build_raw_counts(4))
     row = raw[index.rank[(2, 1, 1)]]
     assert row[index.rank[(1, 1, 1, 1)]] == 1
     assert row[index.rank[(3, 1)]] == 4
@@ -69,6 +69,17 @@ def test_row_sums_and_bipartite():
         m = build_transition_matrix(n)
         assert row_sums(m) == [comb(n, 2)] * len(m)
         assert bipartite_offenders(n, m) == []
+
+
+def test_sparse_rows_at_n30():
+    m = build_transition_matrix(30, max_n=30)
+    assert len(m) == 5604
+    for row in m:
+        assert all(v != 0 for _, v in row)
+        cols = [j for j, _ in row]
+        assert all(a < b for a, b in zip(cols, cols[1:]))
+    assert row_sums(m) == [comb(30, 2)] * len(m)
+    assert bipartite_offenders(30, m, max_n=30) == []
 
 
 def test_matrix_power_apply():
@@ -111,7 +122,9 @@ def test_eigen_relations_small():
 def test_fault_injection_is_detected():
     n = 5
     m = build_transition_matrix(n)
-    m[0][1] += 1  # flip one entry
+    j, v = m[0][0]
+    assert j == 1
+    m[0][0] = (1, v + 1)  # flip entry (0, 1)
     bad = eigen_mismatches(n, matrix=m)
     assert bad, "a corrupted matrix must fail the eigen relations"
     # the offending row is the one that was corrupted
@@ -125,6 +138,6 @@ def test_needs_n_at_least_2():
     with pytest.raises(ValueError):
         build_transition_matrix(1)
     with pytest.raises(ValueError):
-        matrix_power_apply([[0]], -1, [1])
+        matrix_power_apply([[]], -1, [1])
     with pytest.raises(ValueError):
-        matrix_power_apply([[0, 0], [0, 0]], 1, [1])
+        matrix_power_apply([[], []], 1, [1])

@@ -1,3 +1,7 @@
+from bisect import insort
+
+from permfact import verify
+from permfact.characters import CharacterTable, build_character_table
 from permfact.verify import run_battery, check_dstar, check_two_cycle
 from permfact.transition import build_transition_matrix, eigen_mismatches
 from permfact.partitions import enumerate_partitions
@@ -22,7 +26,8 @@ def test_seeded_fault_is_located():
     index = enumerate_partitions(n)
     m = build_transition_matrix(n)
     row, col = 3, 5
-    m[row][col] += 1
+    assert col not in [j for j, _ in m[row]]  # entry (3, 5) is zero
+    insort(m[row], (col, 1))
     bad = eigen_mismatches(n, matrix=m)
     assert bad
     # the corrupted row shows up as the offending class for some eigenvector
@@ -35,3 +40,19 @@ def test_individual_checks_report_scales():
     assert "n <= 2" in r.detail
     r = check_two_cycle(n_max=6, k_max=6)
     assert r.status == "PASS"
+
+
+def test_orthogonality_fault_is_reported(monkeypatch):
+    # one off-diagonal character value of S_4 changed by 1
+    def corrupted(n, **kwargs):
+        table = build_character_table(n, **kwargs)
+        values = [list(row) for row in table.values]
+        if n == 4:
+            values[1][2] += 1
+        return CharacterTable(table.index, values)
+
+    monkeypatch.setattr(verify, "build_character_table", corrupted)
+    r = verify.check_character_table(n_max=5)
+    assert (r.status, r.detail) == ("FAIL", "orthogonality at n=4 (0,1)")
+    r = verify.check_dual_bases(n_max=5)
+    assert (r.status, r.detail) == ("FAIL", "((1, 1, 1, 1), (2, 1, 1))")
