@@ -242,6 +242,10 @@ def save_table(table, path):
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
                                prefix=".chartable-", suffix=".tmp")
     try:
+        # mkstemp makes the file 0600; give it the mode open() would have
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as fh:
             json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
             fh.write("\n")

@@ -105,15 +105,16 @@ def matrix_equality_offenders(n):
     formula = [Counter(dict(row)) for row in build_transition_matrix(n)]
     raw = [Counter(dict(row)) for row in build_raw_counts(n)]
     sizes = [class_size(lam) for lam in index]
+    # every cell where a compared entry may be nonzero, in row-major order
+    cells = {(a, b) for m in (formula, raw) for a, r in enumerate(m) for b in r}
     bad = []
-    for a, (f_row, r_row) in enumerate(zip(formula, raw)):
-        for b in sorted(f_row.keys() | r_row.keys()):
-            if f_row[b] != r_row[b]:
-                bad.append(("entry", index.ordered[a], index.ordered[b],
-                            f_row[b], r_row[b]))
-            if r_row[b] * sizes[a] != raw[b][a] * sizes[b]:
-                bad.append(("double-count", index.ordered[a], index.ordered[b],
-                            r_row[b] * sizes[a], raw[b][a] * sizes[b]))
+    for a, b in sorted(cells | {(b, a) for a, b in cells}):
+        if formula[a][b] != raw[a][b]:
+            bad.append(("entry", index.ordered[a], index.ordered[b],
+                        formula[a][b], raw[a][b]))
+        if raw[a][b] * sizes[a] != raw[b][a] * sizes[b]:
+            bad.append(("double-count", index.ordered[a], index.ordered[b],
+                        raw[a][b] * sizes[a], raw[b][a] * sizes[b]))
     return bad
 
 
@@ -137,11 +138,11 @@ def row_sums(matrix):
     return [sum(v for _, v in row) for row in matrix]
 
 
-def bipartite_offenders(n, matrix=None, max_n=DEFAULT_MAX_N):
+def bipartite_offenders(n, matrix=None):
     """Stored entries between partitions whose lengths do not differ by 1."""
-    index = enumerate_partitions(n, max_n=max_n)
+    index = enumerate_partitions(n)
     if matrix is None:
-        matrix = build_transition_matrix(n, max_n=max_n)
+        matrix = build_transition_matrix(n)
     return [(t, index.ordered[b], v)
             for t, row in zip(index, matrix) for b, v in row
             if abs(len(t) - len(index.ordered[b])) != 1]

@@ -1,4 +1,5 @@
 import json
+import os
 from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial
@@ -169,7 +170,12 @@ def test_cache_corruption_recovers(tmp_path, capsys):
 
 def test_cache_write_is_atomic(tmp_path, monkeypatch):
     path = tmp_path / "chartable_n4.json"
-    save_table(build_character_table(4), str(path))
+    umask = os.umask(0o022)
+    try:
+        save_table(build_character_table(4), str(path))
+    finally:
+        os.umask(umask)
+    assert path.stat().st_mode & 0o777 == 0o644
     before = path.read_text()
 
     def torn_dump(payload, fh, **kwargs):

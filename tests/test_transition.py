@@ -79,7 +79,10 @@ def test_sparse_rows_at_n30():
         cols = [j for j, _ in row]
         assert all(a < b for a, b in zip(cols, cols[1:]))
     assert row_sums(m) == [comb(30, 2)] * len(m)
-    assert bipartite_offenders(30, m, max_n=30) == []
+    index = enumerate_partitions(30, max_n=30)
+    for t, row in zip(index, m):
+        for b, _ in row:
+            assert abs(len(t) - len(index.ordered[b])) == 1
 
 
 def test_matrix_power_apply():
