@@ -10,14 +10,13 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import cache
 from math import factorial
 
 from .partitions import (enumerate_partitions, check_partition, conjugate,
                          hook_lengths, DEFAULT_MAX_N)
 
 BST_MAX_N = 8
-
-_mn_memo = {}
 
 
 def _strip_removals(shape, r):
@@ -50,18 +49,14 @@ def mn_character(lam, mu):
     return _mn(lam, mu)
 
 
+@cache
 def _mn(shape, mu):
     if not mu:
         return 1 if not shape else 0
-    key = (shape, mu)
-    cached = _mn_memo.get(key)
-    if cached is not None:
-        return cached
     rest = mu[1:]
     total = 0
     for nshape, height in _strip_removals(shape, mu[0]):
         total += -_mn(nshape, rest) if height % 2 else _mn(nshape, rest)
-    _mn_memo[key] = total
     return total
 
 
@@ -170,7 +165,7 @@ def dimension_hook_formula(lam):
 class CharacterTable:
     """chi^lam(nu) for all lam, nu in P(n), canonical order both ways."""
 
-    SCHEMA_VERSION = 1
+    SCHEMA_VERSION = 2
 
     def __init__(self, index, values):
         self.n = index.n
@@ -229,12 +224,24 @@ def cache_path(cache_dir, n):
     return f"{cache_dir}/chartable_n{n}.json"
 
 
+def _values_digest(rows):
+    """sha256 of a table's value strings in row-major order. No string
+    int() accepts holds ',' or ';', so the joined text is unambiguous."""
+    import hashlib  # off the import path of every CLI run, like tempfile
+    digest = hashlib.sha256()
+    for row in rows:  # row by row: the table's text is never held whole
+        digest.update(f"{','.join(row)};".encode())
+    return digest.hexdigest()
+
+
 def save_table(table, path):
+    values = [[str(v) for v in row] for row in table.values]
     payload = {
         "schema_version": CharacterTable.SCHEMA_VERSION,
         "n": table.n,
         "partitions": [list(lam) for lam in table.index],
-        "values": [[str(v) for v in row] for row in table.values],
+        "values": values,
+        "values_sha256": _values_digest(values),
     }
     # a temporary file renamed into place: readers never see a torn table;
     # tempfile is imported here, off the import path of every CLI run
@@ -274,6 +281,8 @@ def load_table(path, n, max_n=DEFAULT_MAX_N):
     values = [[int(v, 10) for v in row] for row in payload["values"]]
     if len(values) != len(index) or any(len(r) != len(index) for r in values):
         raise ValueError("cache shape mismatch")
+    if payload.get("values_sha256") != _values_digest(payload["values"]):
+        raise ValueError("cache values do not match their digest")
     table = CharacterTable(index, values)
     bad = dimension_offenders(table)
     if bad:

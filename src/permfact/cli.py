@@ -63,7 +63,9 @@ def cmd_count(args, out):
     mu, n, ceiling = _resolve_mu(args)
     methods = [args.method] if args.method != "all" else None
     if methods is None:
-        methods = ["spectral", "matrix"]
+        methods = ["spectral"]
+        if n >= 2:  # A_n needs two cells to cut or glue
+            methods.append("matrix")
         if len(mu) == 1:
             methods.append("goulden")
         if len(mu) == 2:

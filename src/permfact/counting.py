@@ -2,10 +2,10 @@
 
 count_spectral evaluates the eigenvalue expansion
     c_k(mu) = (1/n!) * sum_lam chi^lam(1^n) chi^lam(mu) rho_lam^k
-exactly over the integers. count_matrix_method powers the transition
-matrix instead, count_goulden is the single-cycle closed form, and
-count_two_cycle is the closed form for two-part cycle types. All four
-agree; the test suite holds them to that.
+exactly over the integers; the closed forms count_goulden (one cycle)
+and count_two_cycle (two cycles) are sums of the same shape, evaluated
+by the same helper. count_matrix_method powers the transition matrix
+instead. All four agree; the test suite holds them to that.
 """
 
 from dataclasses import dataclass
@@ -17,22 +17,32 @@ from .transition import build_transition_matrix, matrix_power_apply
 from .characters import build_character_table
 
 
+def _expansion(terms, k, n):
+    """(1/n!) * sum w r^k over (w, r) pairs, checked to be a count."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    total = sum(w * r ** k for w, r in terms)
+    if total % factorial(n) != 0 or total < 0:
+        raise RuntimeError(f"expansion sum {total} is not a nonnegative "
+                           f"multiple of {n}! at k={k}")
+    return total // factorial(n)
+
+
+def _spectral_terms(mu, table, max_n):
+    """(chi^lam(1^n) chi^lam(mu), rho_lam) for every lam of |mu|."""
+    if table is None:
+        table = build_character_table(sum(mu), max_n=max_n)
+    col = table.index.position(mu)
+    return [(row[0] * row[col], rho(lam))
+            for lam, row in zip(table.index, table.values)]
+
+
 def count_spectral(mu, k, table=None, max_n=DEFAULT_MAX_N):
     """c_k(mu) from character values and content-sum eigenvalues."""
     mu = check_partition(mu)
-    if k < 0:
+    if k < 0:  # before a table is built for nothing
         raise ValueError("k must be nonnegative")
-    n = sum(mu)
-    if table is None:
-        table = build_character_table(n, max_n=max_n)
-    col = table.index.position(mu)
-    total = sum(row[0] * row[col] * rho(lam) ** k
-                for lam, row in zip(table.index, table.values))
-    nfact = factorial(n)
-    if total % nfact != 0 or total < 0:
-        raise RuntimeError(f"spectral sum {total} is not a nonnegative "
-                           f"multiple of {n}! for mu={mu}, k={k}")
-    return total // nfact
+    return _expansion(_spectral_terms(mu, table, max_n), k, sum(mu))
 
 
 def count_matrix_method(mu, k, matrix=None, max_n=DEFAULT_MAX_N):
@@ -50,13 +60,10 @@ def count_matrix_method(mu, k, matrix=None, max_n=DEFAULT_MAX_N):
 def count_goulden(n, k):
     """Single-cycle closed form:
     (1/n!) * sum_i C(n-1,i) (-1)^i (C(n,2) - n i)^k."""
-    if n < 1 or k < 0:
-        raise ValueError("need n >= 1 and k >= 0")
-    total = sum(comb(n - 1, i) * (-1) ** i * (comb(n, 2) - n * i) ** k
-                for i in range(n))
-    if total % factorial(n) != 0:
-        raise RuntimeError(f"closed form not divisible by n! at n={n}, k={k}")
-    return total // factorial(n)
+    if n < 1:
+        raise ValueError("need n >= 1")
+    return _expansion([(comb(n - 1, i) * (-1) ** i, comb(n, 2) - n * i)
+                       for i in range(n)], k, n)
 
 
 # ---------------------------------------------------------------------------
@@ -135,14 +142,8 @@ def count_two_cycle(m, k_small, k, max_n=DEFAULT_MAX_N):
     n = m + k_small
     if n > max_n:
         raise ValueError(f"n={n} above ceiling {max_n}")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    total = sum(chi * dim * r ** k for _, chi, dim, r in two_cycle_terms(m, k_small))
-    nfact = factorial(n)
-    if total % nfact != 0 or total < 0:
-        raise RuntimeError(f"two-cycle sum not a nonnegative multiple of "
-                           f"{n}! at mu=({m},{k_small}), k={k}")
-    return total // nfact
+    return _expansion([(chi * dim, r) for _, chi, dim, r
+                       in two_cycle_terms(m, k_small)], k, n)
 
 
 # ---------------------------------------------------------------------------
@@ -169,13 +170,11 @@ def series_prefix(mu, terms, table=None, max_n=DEFAULT_MAX_N):
     mu = check_partition(mu)
     if terms < 1:
         raise ValueError("terms must be positive")
-    n = sum(mu)
-    if table is None:
-        table = build_character_table(n, max_n=max_n)
-    coeffs = tuple(Fraction(count_spectral(mu, j, table=table), factorial(j))
-                   for j in range(terms))
-    live = (n - len(mu)) % 2
-    for j, c in enumerate(coeffs):
-        if j % 2 != live and c != 0:
+    pairs = _spectral_terms(mu, table, max_n)
+    prefix = SeriesPrefix(mu, tuple(
+        Fraction(_expansion(pairs, j, sum(mu)), factorial(j))
+        for j in range(terms)))
+    for j, c in enumerate(prefix.coefficients):
+        if j % 2 != prefix.nonzero_parity and c != 0:
             raise RuntimeError(f"parity collapse violated at j={j} for mu={mu}")
-    return SeriesPrefix(mu, coeffs)
+    return prefix

@@ -22,7 +22,7 @@ from .partitions import (enumerate_partitions, conjugate, class_size, rho,
 @dataclass
 class CheckResult:
     name: str
-    status: str  # PASS / FAIL / SKIP
+    status: str  # PASS / FAIL
     detail: str
 
 
@@ -287,17 +287,9 @@ def check_dstar(n_max=3, second_N=False):
                    f"n <= {n_max}, N in {{n+1{', n+2' if second_N else ''}}}")
 
 
-def _run_check(fn, kwargs):
-    try:
-        return fn(**kwargs)
-    except ValueError as exc:
-        # a scale beyond a hard resource ceiling is skipped, not failed
-        return CheckResult(fn.__name__.removeprefix("check_").replace("_", "-"),
-                           "SKIP", f"ceiling: {exc}")
-
-
 def run_battery(deep=False, jobs=1):
-    """Run every check; deep mode raises all ceilings."""
+    """Run every check; deep mode raises all ceilings. A check that
+    raises is a fault, not a result: the exception propagates."""
     specs = [
         (check_rho_symmetries, {"n_max": 15 if deep else 12}),
         (check_census, {"n_max": 15 if deep else 12}),
@@ -326,6 +318,6 @@ def run_battery(deep=False, jobs=1):
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_check, fn, kw) for fn, kw in specs]
+            futures = [pool.submit(fn, **kw) for fn, kw in specs]
             return [f.result() for f in futures]
-    return [_run_check(fn, kw) for fn, kw in specs]
+    return [fn(**kw) for fn, kw in specs]

@@ -165,7 +165,7 @@ def test_cache_corruption_recovers(tmp_path, capsys):
     assert "corrupt" in capsys.readouterr().err
     # cache was rewritten and is valid again
     payload = json.loads(cache_file.read_text())
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
 
 
 def test_cache_write_is_atomic(tmp_path, monkeypatch):

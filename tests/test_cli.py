@@ -4,6 +4,7 @@ import json
 import pytest
 
 from permfact import serialize
+from permfact.characters import _values_digest
 from permfact.cli import main, build_parser
 from permfact.partitions import enumerate_partitions
 from permfact.transition import build_transition_matrix, dense
@@ -16,11 +17,16 @@ def run_cli(argv, capsys):
 
 
 def test_count_all_methods_match(capsys):
-    code, out, _ = run_cli(["count", "--n", "4", "--mu", "3,1", "--k", "4"],
-                           capsys)
-    assert code == 0
-    assert out.count("= 108") == 4  # spectral, matrix, two-cycle, brute
-    assert "MATCH" in out
+    # (3,1): spectral, matrix, two-cycle, brute; (1): no A_1, so spectral,
+    # goulden, brute
+    for argv, value, methods in (
+            (["--n", "4", "--mu", "3,1", "--k", "4"], 108, 4),
+            (["--mu", "1", "--k", "0"], 1, 3),
+            (["--mu", "1", "--k", "3"], 0, 3)):
+        code, out, _ = run_cli(["count"] + argv, capsys)
+        assert code == 0, argv
+        assert out.count(f"= {value}\n") == methods, out
+        assert out.endswith("MATCH\n"), out
 
 
 def test_count_parity_zero(capsys):
@@ -185,15 +191,28 @@ def test_tampered_cache_warns_and_is_rebuilt(tmp_path, capsys):
     assert run_cli(argv, capsys)[:2] == clean
     cache = tmp_path / "chartable_n4.json"
     good = json.loads(cache.read_text())
-    # rows and columns run from 1^4 to (4); chi^(1^4)((4)) is "-1"
-    as_float = json.loads(json.dumps(good))
-    as_float["values"][0][-1] = 5.0
-    wrong_dim = json.loads(json.dumps(good))
-    wrong_dim["values"][0][0] = "5"
-    for payload in ([], as_float, wrong_dim):
+
+    def edited(row, col, value, reseal=True):
+        payload = json.loads(json.dumps(good))
+        payload["values"][row][col] = value
+        if reseal:  # a digest that matches, so a later check must catch it
+            payload["values_sha256"] = _values_digest(
+                [[str(v) for v in r] for r in payload["values"]])
+        return payload
+
+    # rows and columns run from 1^4 to (4); chi^(1^4)((4)) is "-1" and
+    # chi^(2,1,1)((4)) is "1"
+    as_float = edited(0, -1, 5.0)
+    wrong_dim = edited(0, 0, "5")
+    wrong_value = edited(1, -1, "2", reseal=False)
+    for payload, reason in (([], "not a JSON object"),
+                            (as_float, "non-string"),
+                            (wrong_dim, "hook length formula"),
+                            (wrong_value, "digest")):
         cache.write_text(json.dumps(payload))
         code, out, err = run_cli(argv, capsys)
         assert "warning: ignoring corrupt cache" in err, payload
+        assert reason in err, err
         assert (code, out) == clean, payload
         assert json.loads(cache.read_text()) == good  # rewritten
 

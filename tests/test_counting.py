@@ -3,7 +3,8 @@ from math import comb, factorial
 
 import pytest
 
-from permfact.characters import build_character_table, mn_character
+from permfact.characters import (CharacterTable, build_character_table,
+                                 mn_character)
 from permfact.counting import (count_spectral, count_matrix_method,
                                count_goulden, count_two_cycle,
                                two_cycle_terms, series_prefix)
@@ -121,6 +122,7 @@ def test_series_parity_collapse():
             for j, c in enumerate(p.coefficients):
                 if j % 2 != live:
                     assert c == 0
+                assert c * factorial(j) == count_spectral(mu, j, table=table)
 
 
 def test_count_vanishing_pattern():
@@ -159,3 +161,12 @@ def test_validation_errors():
         count_spectral((3, 1), 2, table=build_character_table(5))
     with pytest.raises(ValueError):
         count_goulden(0, 1)
+    # chi^(4)((4)) = 1 changed to 2: the k = 0 sum is 1, not a multiple of 4!
+    table = build_character_table(4)
+    values = [list(row) for row in table.values]
+    values[-1][-1] += 1
+    tampered = CharacterTable(table.index, values)
+    with pytest.raises(RuntimeError):
+        count_spectral((4,), 0, table=tampered)
+    with pytest.raises(RuntimeError):
+        series_prefix((4,), 3, table=tampered)

@@ -1,6 +1,7 @@
 from bisect import insort
 
 from permfact import verify
+from permfact.cli import main
 from permfact.characters import CharacterTable, build_character_table
 from permfact.verify import run_battery, check_dstar, check_two_cycle
 from permfact.transition import build_transition_matrix, eigen_mismatches
@@ -32,6 +33,15 @@ def test_seeded_fault_is_located():
     assert bad
     # the corrupted row shows up as the offending class for some eigenvector
     assert any(nu == index.ordered[row] for _, nu in bad)
+
+
+def test_crashed_check_fails_verify(monkeypatch, capsys):
+    def broken(lam):
+        raise ValueError("bug: bad partition")
+
+    monkeypatch.setattr(verify, "rho", broken)  # rho-conjugation runs first
+    assert main(["verify"]) != 0
+    assert "checks passed" not in capsys.readouterr().out
 
 
 def test_individual_checks_report_scales():
