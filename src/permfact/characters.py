@@ -191,29 +191,32 @@ def build_character_table(n, max_n=DEFAULT_MAX_N, jobs=1):
     cross-checked against the hook length formula for every row."""
     index = enumerate_partitions(n, max_n=max_n)
     lams = list(index)
+    jobs = min(jobs, len(lams))  # no worker without a row to compute
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         chunks = [lams[i::jobs] for i in range(jobs)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = pool.map(_table_rows, [index] * len(chunks), chunks)
-        by_lam = {}
-        for chunk, rows in zip(chunks, parts):
-            by_lam.update(zip(chunk, rows))
-        values = [by_lam[lam] for lam in lams]
+            parts = list(pool.map(_table_rows, [index] * jobs, chunks))
+        # lams[i] is row i // jobs of chunk i % jobs
+        values = [parts[i % jobs][i // jobs] for i in range(len(lams))]
     else:
         values = _table_rows(index, lams)
-    table = CharacterTable(index, values)
-    bad = dimension_offenders(table)
+    require_hook_dimensions(index, [row[0] for row in values])
+    return CharacterTable(index, values)
+
+
+def dimension_offenders(index, dims):
+    """Shapes lam whose entry in dims differs from the hook length formula."""
+    return [lam for lam, dim in zip(index, dims)
+            if dim != dimension_hook_formula(lam)]
+
+
+def require_hook_dimensions(index, dims):
+    """Raise RuntimeError if any of dims disagrees with the hook formula."""
+    bad = dimension_offenders(index, dims)
     if bad:
         raise RuntimeError(f"strip recursion and hook formula disagree "
                            f"on the dimension of {bad[0]}")
-    return table
-
-
-def dimension_offenders(table):
-    """Rows lam whose first column differs from the hook length formula."""
-    return [lam for lam, row in zip(table.index, table.values)
-            if row[0] != dimension_hook_formula(lam)]
 
 
 # ---------------------------------------------------------------------------
@@ -283,12 +286,11 @@ def load_table(path, n, max_n=DEFAULT_MAX_N):
         raise ValueError("cache shape mismatch")
     if payload.get("values_sha256") != _values_digest(payload["values"]):
         raise ValueError("cache values do not match their digest")
-    table = CharacterTable(index, values)
-    bad = dimension_offenders(table)
+    bad = dimension_offenders(index, [row[0] for row in values])
     if bad:
         raise ValueError(f"cache dimension of {bad[0]} disagrees with the "
                          f"hook length formula")
-    return table
+    return CharacterTable(index, values)
 
 
 def character_table_cached(n, cache_dir=None, jobs=1, max_n=DEFAULT_MAX_N):
@@ -296,7 +298,10 @@ def character_table_cached(n, cache_dir=None, jobs=1, max_n=DEFAULT_MAX_N):
     directory is given. A corrupt cache is ignored and rebuilt."""
     if cache_dir is None:
         return build_character_table(n, max_n=max_n, jobs=jobs)
-    os.makedirs(cache_dir, exist_ok=True)
+    try:
+        os.makedirs(cache_dir, exist_ok=True)
+    except OSError as exc:  # a file, or a path we may not create
+        raise ValueError(f"unusable cache directory: {exc}") from None
     path = cache_path(cache_dir, n)
     if os.path.exists(path):
         try:

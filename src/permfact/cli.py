@@ -46,17 +46,12 @@ def _resolve_mu(args):
     return mu, n, _ceiling(args, n)
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+def _jobs(text):
+    # a fork pool starts all its workers at once: bound them by the CPUs
+    value, most = int(text), os.cpu_count() or 1
+    if not 1 <= value <= most:
+        raise argparse.ArgumentTypeError(f"must be in 1..{most}, got {value}")
     return value
-
-
-def _cache_dir(args):
-    if args.cache_dir:
-        return args.cache_dir
-    return os.environ.get("PERMFACT_CACHE_DIR") or None
 
 
 def cmd_count(args, out):
@@ -75,9 +70,7 @@ def cmd_count(args, out):
     results = []
     for method in methods:
         if method == "spectral":
-            table = character_table_cached(n, cache_dir=_cache_dir(args),
-                                           jobs=args.jobs, **ceiling)
-            value = count_spectral(mu, args.k, table=table)
+            value = count_spectral(mu, args.k, **ceiling)
         elif method == "matrix":
             value = count_matrix_method(mu, args.k, **ceiling)
         elif method == "goulden":
@@ -136,7 +129,8 @@ def cmd_matrix(args, out):
 
 
 def cmd_chartable(args, out):
-    table = character_table_cached(args.n, cache_dir=_cache_dir(args),
+    cache_dir = args.cache_dir or os.environ.get("PERMFACT_CACHE_DIR") or None
+    table = character_table_cached(args.n, cache_dir=cache_dir,
                                    jobs=args.jobs, **_ceiling(args, args.n))
     if args.format == "json":
         out.write(serialize.chartable_json(table))
@@ -149,9 +143,7 @@ def cmd_chartable(args, out):
 
 def cmd_series(args, out):
     mu, n, ceiling = _resolve_mu(args)
-    table = character_table_cached(n, cache_dir=_cache_dir(args),
-                                   jobs=args.jobs, **ceiling)
-    prefix = series_prefix(mu, args.terms, table=table)
+    prefix = series_prefix(mu, args.terms, **ceiling)
     if args.format == "json":
         out.write(serialize.series_json(prefix))
     elif args.format == "csv":
@@ -202,22 +194,21 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def jobs(p):
-        p.add_argument("--jobs", type=_positive_int, default=1,
-                       help="parallel workers, at least 1; results are "
-                            "identical for any value")
+        p.add_argument("--jobs", type=_jobs, default=1,
+                       help="parallel workers, 1 up to the CPU count; "
+                            "results are identical for any value")
 
-    def common(p, table=False, mu=False, k=False, terms=False):
+    def common(p, cache=False, mu=False, k=False, terms=False):
         p.add_argument("--n", type=int, default=None,
                        help="size of the permutations")
         p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N,
                        help="ceiling override")
         p.add_argument("--format", choices=("text", "json", "csv"),
                        default="text")
-        if table:
+        if cache:
             p.add_argument("--cache-dir", default=None,
-                           help="character table cache directory "
-                                "(or PERMFACT_CACHE_DIR)")
-            jobs(p)
+                           help="character table cache directory (or "
+                                "PERMFACT_CACHE_DIR); only chartable reads it")
         if mu:
             p.add_argument("--mu", required=True,
                            help="cycle type, comma-separated parts")
@@ -229,7 +220,7 @@ def build_parser():
                            help="series coefficients to compute")
 
     p = sub.add_parser("count", help="count factorizations into k transpositions")
-    common(p, table=True, mu=True, k=True)
+    common(p, cache=True, mu=True, k=True)
     p.add_argument("--method", default="all",
                    choices=("spectral", "matrix", "brute", "goulden",
                             "two-cycle", "all"))
@@ -242,11 +233,12 @@ def build_parser():
     p.set_defaults(func=cmd_matrix)
 
     p = sub.add_parser("chartable", help="emit the character table")
-    common(p, table=True)
+    common(p, cache=True)
+    jobs(p)
     p.set_defaults(func=cmd_chartable)
 
     p = sub.add_parser("series", help="generating function coefficients c_k/k!")
-    common(p, table=True, mu=True, terms=True)
+    common(p, cache=True, mu=True, terms=True)
     p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("verify", help="run the cross-validation battery")

@@ -14,7 +14,7 @@ from math import comb, factorial
 
 from .partitions import check_partition, enumerate_partitions, rho, DEFAULT_MAX_N
 from .transition import build_transition_matrix, matrix_power_apply
-from .characters import build_character_table
+from .characters import mn_character, require_hook_dimensions
 
 
 def _expansion(terms, k, n):
@@ -29,19 +29,22 @@ def _expansion(terms, k, n):
 
 
 def _spectral_terms(mu, table, max_n):
-    """(chi^lam(1^n) chi^lam(mu), rho_lam) for every lam of |mu|."""
+    """(chi^lam(1^n) chi^lam(mu), rho_lam) for every lam of |mu|, from two
+    character columns: table's, or the strip recursion's if table is None."""
     if table is None:
-        table = build_character_table(sum(mu), max_n=max_n)
-    col = table.index.position(mu)
-    return [(row[0] * row[col], rho(lam))
-            for lam, row in zip(table.index, table.values)]
+        index = enumerate_partitions(sum(mu), max_n=max_n)
+        dims = [mn_character(lam, (1,) * index.n) for lam in index]
+        require_hook_dimensions(index, dims)
+        chis = zip(dims, [mn_character(lam, mu) for lam in index])
+    else:
+        index, at = table.index, table.index.position(mu)
+        chis = [(row[0], row[at]) for row in table.values]
+    return [(d * c, rho(lam)) for lam, (d, c) in zip(index, chis)]
 
 
 def count_spectral(mu, k, table=None, max_n=DEFAULT_MAX_N):
     """c_k(mu) from character values and content-sum eigenvalues."""
     mu = check_partition(mu)
-    if k < 0:  # before a table is built for nothing
-        raise ValueError("k must be nonnegative")
     return _expansion(_spectral_terms(mu, table, max_n), k, sum(mu))
 
 

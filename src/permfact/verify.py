@@ -118,7 +118,7 @@ def check_character_table(n_max=10):
     for n in range(1, n_max + 1):
         table = build_character_table(n)
         index = table.index
-        for lam in dimension_offenders(table):
+        for lam in dimension_offenders(index, [r[0] for r in table.values]):
             return _result("character-table", False, f"dimension at {lam}")
         for a, b in _orthogonality_offenders(table):
             return _result("character-table", False,
@@ -317,7 +317,7 @@ def run_battery(deep=False, jobs=1):
     ]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(specs))) as pool:
             futures = [pool.submit(fn, **kw) for fn, kw in specs]
             return [f.result() for f in futures]
     return [fn(**kw) for fn, kw in specs]

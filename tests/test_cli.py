@@ -1,9 +1,10 @@
 import io
 import json
+import os
 
 import pytest
 
-from permfact import serialize
+from permfact import characters, serialize
 from permfact.characters import _values_digest
 from permfact.cli import main, build_parser
 from permfact.partitions import enumerate_partitions
@@ -120,8 +121,9 @@ def test_usage_errors_exit_2(capsys):
                     "--method", "goulden"], capsys)[0] == 2
     assert run_cli(["matrix", "--n", "1"], capsys)[0] == 2
     assert run_cli(["partitions", "--n", "25"], capsys)[0] == 2
-    # options a subcommand does not read, and --jobs below 1, are refused
-    # by argparse itself
+    # options a subcommand does not read, and --jobs outside 1..cpu_count,
+    # are refused by argparse itself, before any pool starts
+    too_many = str((os.cpu_count() or 1) + 1)
     for argv in (["verify", "--format", "json"], ["verify", "--n", "5"],
                  ["verify", "--max-n", "25"], ["verify", "--cache-dir", "X"],
                  ["matrix", "--n", "3", "--cache-dir", "X"],
@@ -131,7 +133,11 @@ def test_usage_errors_exit_2(capsys):
                  ["count", "--mu", "3,1", "--k", "2", "--jobs", "-3"],
                  ["chartable", "--n", "3", "--jobs", "0"],
                  ["series", "--mu", "3", "--terms", "2", "--jobs", "0"],
-                 ["verify", "--jobs", "0"], ["verify", "--jobs", "x"]):
+                 ["verify", "--jobs", "0"], ["verify", "--jobs", "x"],
+                 ["count", "--mu", "3,1", "--k", "2", "--jobs", "2"],
+                 ["series", "--mu", "3", "--terms", "2", "--jobs", "2"],
+                 ["verify", "--jobs", too_many],
+                 ["chartable", "--n", "3", "--jobs", too_many]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
@@ -184,8 +190,36 @@ def test_chartable_text_and_cache(tmp_path, capsys):
     assert (tmp_path / "chartable_n3.json").exists()
 
 
+def test_cache_dir_that_is_a_file_is_a_usage_error(tmp_path, capsys,
+                                                   monkeypatch):
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    argv = ["chartable", "--n", "4"]
+    code, out, err = run_cli(argv + ["--cache-dir", str(not_a_dir)], capsys)
+    assert (code, out) == (2, "") and err.startswith("error: "), err
+    monkeypatch.setenv("PERMFACT_CACHE_DIR", str(not_a_dir))
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "") and err.startswith("error: "), err
+
+
+def test_count_and_series_read_no_table(tmp_path, capsys, monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("a full character table was built or loaded")
+
+    monkeypatch.setattr(characters, "_table_rows", no_table)
+    monkeypatch.setattr(characters, "load_table", no_table)
+    code, out, _ = run_cli(["count", "--mu", "6,5,4", "--k", "14",
+                            "--cache-dir", str(tmp_path)], capsys)
+    assert code == 0 and out.endswith("MATCH\n"), out
+    assert "[spectral] = 2583039932928000\n" in out
+    assert list(tmp_path.iterdir()) == []  # --cache-dir is accepted, unused
+    code, out, _ = run_cli(["series", "--mu", "5,4,3,3,2,1", "--terms", "12"],
+                           capsys)
+    assert code == 0, out
+
+
 def test_tampered_cache_warns_and_is_rebuilt(tmp_path, capsys):
-    argv = ["count", "--mu", "4", "--k", "3", "--method", "spectral"]
+    argv = ["chartable", "--n", "4"]
     clean = run_cli(argv, capsys)[:2]
     argv += ["--cache-dir", str(tmp_path)]
     assert run_cli(argv, capsys)[:2] == clean

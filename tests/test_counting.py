@@ -3,6 +3,7 @@ from math import comb, factorial
 
 import pytest
 
+from permfact import characters
 from permfact.characters import (CharacterTable, build_character_table,
                                  mn_character)
 from permfact.counting import (count_spectral, count_matrix_method,
@@ -117,6 +118,7 @@ def test_series_parity_collapse():
         table = build_character_table(n)
         for mu in enumerate_partitions(n):
             p = series_prefix(mu, 16, table=table)
+            assert p == series_prefix(mu, 16)  # two columns, no table
             live = (n - len(mu)) % 2
             assert p.nonzero_parity == live
             for j, c in enumerate(p.coefficients):
@@ -170,3 +172,13 @@ def test_validation_errors():
         count_spectral((4,), 0, table=tampered)
     with pytest.raises(RuntimeError):
         series_prefix((4,), 3, table=tampered)
+
+
+def test_column_path_checks_hook_dimensions(monkeypatch):
+    hook = characters.dimension_hook_formula
+    monkeypatch.setattr(characters, "dimension_hook_formula",
+                        lambda lam: hook(lam) + (lam == (2, 1, 1)))
+    with pytest.raises(RuntimeError, match=r"dimension of \(2, 1, 1\)"):
+        count_spectral((3, 1), 2)
+    with pytest.raises(RuntimeError, match=r"dimension of \(2, 1, 1\)"):
+        series_prefix((4,), 3)
