@@ -186,9 +186,19 @@ def _table_rows(index, lams):
     return [[_mn(lam, nu) for nu in index] for lam in lams]
 
 
+def require_jobs(jobs):
+    """jobs, if in 1..os.cpu_count(); ValueError if not. A fork pool
+    starts all its workers at once, so every pool is bounded here."""
+    most = os.cpu_count() or 1
+    if not 1 <= jobs <= most:
+        raise ValueError(f"jobs must be in 1..{most}, got {jobs}")
+    return jobs
+
+
 def build_character_table(n, max_n=DEFAULT_MAX_N, jobs=1):
     """Full character table via the strip recursion. The first column is
     cross-checked against the hook length formula for every row."""
+    require_jobs(jobs)
     index = enumerate_partitions(n, max_n=max_n)
     lams = list(index)
     jobs = min(jobs, len(lams))  # no worker without a row to compute

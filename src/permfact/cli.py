@@ -10,12 +10,12 @@ import os
 import sys
 
 from . import serialize
-from .characters import character_table_cached
+from .characters import character_table_cached, require_jobs
 from .counting import (count_spectral, count_matrix_method, count_goulden,
                        count_two_cycle, series_prefix)
 from .oracle import count_brute, BRUTE_MAX_N, BRUTE_MAX_K
 from .partitions import enumerate_partitions, rho, DEFAULT_MAX_N
-from .transition import build_transition_matrix, dense
+from .transition import build_transition_matrix
 from .verify import run_battery
 
 EXIT_OK = 0
@@ -47,11 +47,11 @@ def _resolve_mu(args):
 
 
 def _jobs(text):
-    # a fork pool starts all its workers at once: bound them by the CPUs
-    value, most = int(text), os.cpu_count() or 1
-    if not 1 <= value <= most:
-        raise argparse.ArgumentTypeError(f"must be in 1..{most}, got {value}")
-    return value
+    value = int(text)
+    try:
+        return require_jobs(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def cmd_count(args, out):
@@ -110,17 +110,17 @@ def cmd_count(args, out):
 def cmd_matrix(args, out):
     ceiling = _ceiling(args, args.n, least=2)
     index = enumerate_partitions(args.n, **ceiling)
-    matrix = dense(build_transition_matrix(args.n, **ceiling))
+    rows = build_transition_matrix(args.n, **ceiling)
     pairs = sorted(((rho(lam), lam) for lam in index)) if args.eigen else None
     if args.format == "json":
-        out.write(serialize.matrix_json(index, matrix, eigen=pairs))
+        out.write(serialize.matrix_json(index, rows, eigen=pairs))
     elif args.format == "csv":
-        out.write(serialize.matrix_csv(index, matrix))
+        out.write(serialize.matrix_csv(index, rows))
         if pairs:
             for r, lam in pairs:
                 out.write(f"eigenvalue,{serialize.partition_label(lam)},{r}\n")
     else:
-        out.write(serialize.matrix_text(index, matrix))
+        out.write(serialize.matrix_text(index, rows))
         if pairs:
             out.write("eigenvalues:\n")
             for r, lam in pairs:
@@ -137,7 +137,7 @@ def cmd_chartable(args, out):
     elif args.format == "csv":
         out.write(serialize.chartable_csv(table))
     else:
-        out.write(serialize.matrix_text(table.index, table.values))
+        out.write(serialize.chartable_text(table))
     return EXIT_OK
 
 

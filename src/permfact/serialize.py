@@ -1,4 +1,4 @@
-"""Deterministic JSON and CSV emitters.
+"""Deterministic JSON, CSV and text-grid emitters.
 
 Counts routinely exceed 64-bit range, so every scalar result is written
 as a decimal string. Partition parts are small and stay plain integers.
@@ -6,8 +6,6 @@ Output is byte-stable for a fixed input: fixed orderings, no
 timestamps.
 """
 
-import csv
-import io
 import json
 
 
@@ -36,48 +34,68 @@ def partitions_json(index):
                   "partitions": [list(lam) for lam in index]})
 
 
-def matrix_json(index, matrix, eigen=None):
-    payload = {
-        "n": index.n,
-        "order": [partition_label(lam) for lam in index],
-        "entries": [[str(v) for v in row] for row in matrix],
-    }
-    if eigen is not None:
-        payload["eigenvalues"] = [[partition_label(lam), str(r)]
-                                  for r, lam in eigen]
-    return dumps(payload)
+def _dense_rows(rows):
+    """Sparse (column, value) rows as full lists, one row at a time."""
+    for pairs in rows:
+        line = [0] * len(rows)
+        for j, v in pairs:
+            line[j] = v
+        yield line
 
 
-def matrix_csv(index, matrix):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def _grid_json(index, key, rows, **extra):
+    """dumps({n, order, key: rows, **extra}), written a row at a time."""
+    order = [partition_label(lam) for lam in index]
+    head, tail = dumps({"n": index.n, "order": order, key: None, **extra}
+                       ).split(f'"{key}": null')
+    grid = ",\n".join("    [\n" + ",\n".join(f'      "{v}"' for v in row)
+                      + "\n    ]" for row in rows)
+    return "".join([head, f'"{key}": [\n', grid, "\n  ]", tail])
+
+
+def _grid_csv(index, rows):
     labels = [partition_label(lam) for lam in index]
-    writer.writerow([""] + labels)
-    for label, row in zip(labels, matrix):
-        writer.writerow([label] + [str(v) for v in row])
-    return buf.getvalue()
-
-
-def matrix_text(index, matrix):
-    labels = [partition_label(lam) for lam in index]
-    width = max(max(len(s) for s in labels),
-                max(len(str(v)) for row in matrix for v in row))
-    lines = [" " * (width + 2) + " ".join(f"{s:>{width}}" for s in labels)]
-    lines += [f"{label:>{width}}: " + " ".join(f"{v:>{width}}" for v in row)
-              for label, row in zip(labels, matrix)]
+    lines = [",".join(["", *labels])]  # no cell ever needs quoting
+    lines += [",".join([label, *map(str, row)])
+              for label, row in zip(labels, rows)]
     return "\n".join(lines) + "\n"
 
 
+def _grid_text(index, rows, stored):
+    """Cells as wide as the widest label or value in the rows of stored."""
+    labels = [partition_label(lam) for lam in index]
+    width = max(len(str(v)) for row in (labels, *stored) for v in row)
+    lines = [" " * (width + 2) + " ".join(f"{s:>{width}}" for s in labels)]
+    lines += [f"{label:>{width}}: " + " ".join(f"{v:>{width}}" for v in row)
+              for label, row in zip(labels, rows)]
+    return "\n".join(lines) + "\n"
+
+
+def matrix_json(index, rows, eigen=None):
+    extra = {} if eigen is None else {"eigenvalues": [
+        [partition_label(lam), str(r)] for r, lam in eigen]}
+    return _grid_json(index, "entries", _dense_rows(rows), **extra)
+
+
+def matrix_csv(index, rows):
+    return _grid_csv(index, _dense_rows(rows))
+
+
+def matrix_text(index, rows):
+    stored = ((v for _, v in pairs) for pairs in rows)
+    return _grid_text(index, _dense_rows(rows), stored)
+
+
 def chartable_json(table):
-    return dumps({
-        "n": table.n,
-        "order": [partition_label(lam) for lam in table.index],
-        "values": [[str(v) for v in row] for row in table.values],
-    })
+    return _grid_json(table.index, "values", table.values)
 
 
 def chartable_csv(table):
-    return matrix_csv(table.index, table.values)
+    return _grid_csv(table.index, table.values)
+
+
+def chartable_text(table):
+    return _grid_text(table.index, table.values, table.values)
 
 
 def count_json(n, mu, k, count, method):

@@ -7,8 +7,8 @@ n(n-1)/2, and iterating v -> A v from the unit vector at 1^n yields
 the factorization counts: (A^k e_{1^n})_mu counts ordered k-tuples of
 transpositions with product of type mu.
 
-A is held as sparse rows: per row t, a list of the (s, A[t][s]) pairs
-with A[t][s] != 0, s ascending. dense() alone makes the p(n) x p(n) view.
+A is held only as sparse rows: per row t, a list of the (s, A[t][s])
+pairs with A[t][s] != 0, s ascending. No p(n) x p(n) grid is ever built.
 
 The same entry is produced by closed formulas for the reverse move
 s -> t, with cycle multiplicities k_i read off the column partition s:
@@ -89,15 +89,6 @@ def build_raw_counts(n, max_n=DEFAULT_MAX_N):
     return rows
 
 
-def dense(rows):
-    """The p(n) x p(n) list of lists that sparse rows stand for."""
-    out = [[0] * len(rows) for _ in rows]
-    for line, pairs in zip(out, rows):
-        for j, v in pairs:
-            line[j] = v
-    return out
-
-
 def matrix_equality_offenders(n):
     """Entries where the formula matrix and the raw tally disagree, plus
     violations of the double-counting identity t_{ls}*|C_l| = t_{sl}*|C_s|."""
@@ -143,6 +134,7 @@ def bipartite_offenders(n, matrix=None):
     index = enumerate_partitions(n)
     if matrix is None:
         matrix = build_transition_matrix(n)
+    _require_rows(matrix, index)
     return [(t, index.ordered[b], v)
             for t, row in zip(index, matrix) for b, v in row
             if abs(len(t) - len(index.ordered[b])) != 1]
@@ -159,10 +151,21 @@ def zero_multiplicity_lower_bound(n):
     return len(self_conj)
 
 
+def _require_rows(matrix, index):
+    if len(matrix) != len(index):
+        raise ValueError(f"matrix has {len(matrix)} rows, not "
+                         f"p({index.n}) = {len(index)}")
+
+
 def _operands(n, matrix, table):
+    """A_n and S_n's character table: built, or the caller's sized for n."""
     from .characters import build_character_table
-    return (build_transition_matrix(n) if matrix is None else matrix,
-            build_character_table(n) if table is None else table)
+    table = build_character_table(n) if table is None else table
+    if table.n != n:
+        raise ValueError(f"character table is for n = {table.n}, not {n}")
+    matrix = build_transition_matrix(n) if matrix is None else matrix
+    _require_rows(matrix, table.index)
+    return matrix, table
 
 
 def eigen_mismatches(n, matrix=None, table=None):

@@ -13,7 +13,8 @@ from math import comb, factorial
 
 from . import oracle, transition, symfun
 from .characters import (build_character_table, bst_signed_count,
-                         dimension_offenders, mn_character, BST_MAX_N)
+                         dimension_offenders, mn_character, require_jobs,
+                         BST_MAX_N)
 from .counting import count_spectral, count_goulden, count_two_cycle
 from .partitions import (enumerate_partitions, conjugate, class_size, rho,
                          z_value, parity_census)
@@ -265,14 +266,15 @@ def check_dstar(n_max=3, second_N=False):
         table = build_character_table(n)
         index = table.index
         Ns = (n + 1, n + 2) if second_N else (n + 1,)
+        # the nonzero entries of A_n transposed; A_1 has none
+        at = {} if n == 1 else {(s, t): v for t, row in enumerate(
+            transition.build_transition_matrix(n)) for s, v in row}
+        size = len(index)
         for N in Ns:
             mat = symfun.matrix_of_dstar(n, N)
-            a = transition.dense(transition.build_transition_matrix(n)
-                                 if n >= 2 else [[]])
-            size = len(index)
             for r in range(size):
                 for c in range(size):
-                    expect = Fraction(a[c][r])
+                    expect = Fraction(at.get((r, c), 0))
                     if r == c:
                         expect += n * (N - 1)
                     if mat[r][c] != 2 * expect:
@@ -290,6 +292,7 @@ def check_dstar(n_max=3, second_N=False):
 def run_battery(deep=False, jobs=1):
     """Run every check; deep mode raises all ceilings. A check that
     raises is a fault, not a result: the exception propagates."""
+    require_jobs(jobs)
     specs = [
         (check_rho_symmetries, {"n_max": 15 if deep else 12}),
         (check_census, {"n_max": 15 if deep else 12}),

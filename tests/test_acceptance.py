@@ -17,7 +17,7 @@ from permfact.oracle import class_representative, walk_distributions
 from permfact.partitions import (enumerate_partitions, conjugate, class_size,
                                  parity_census, rho, z_value)
 from permfact.transition import (build_transition_matrix, bipartite_offenders,
-                                 dense, dual_eigen_mismatches, eigen_mismatches,
+                                 dual_eigen_mismatches, eigen_mismatches,
                                  matrix_power_apply, row_sums,
                                  zero_multiplicity_lower_bound)
 
@@ -46,7 +46,7 @@ EIGENVALUES = {
 }
 
 
-def test_criterion_01_transition_matrix_n4():
+def test_criterion_01_transition_matrix_n4(dense):
     start = time.monotonic()
     assert dense(build_transition_matrix(4)) == A4_EXPECTED
     elapsed = time.monotonic() - start
@@ -163,7 +163,7 @@ def test_criterion_08_character_suite():
           "conjugation, hook dimensions (n <= 12)")
 
 
-def test_criterion_09_differential_operator():
+def test_criterion_09_differential_operator(dense):
     from permfact.symfun import (apply_dstar, matrix_of_dstar,
                                  schur_from_characters)
     start = time.monotonic()

@@ -1,14 +1,18 @@
+import csv
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import permfact
 from permfact import characters, serialize
-from permfact.characters import _values_digest
+from permfact.characters import _values_digest, build_character_table
 from permfact.cli import main, build_parser
-from permfact.partitions import enumerate_partitions
-from permfact.transition import build_transition_matrix, dense
+from permfact.partitions import enumerate_partitions, rho
+from permfact.transition import build_transition_matrix
 
 
 def run_cli(argv, capsys):
@@ -143,7 +147,7 @@ def test_usage_errors_exit_2(capsys):
         assert exc.value.code == 2, argv
 
 
-def test_matrix_output(capsys):
+def test_matrix_output(capsys, dense):
     code, out, _ = run_cli(["matrix", "--n", "4", "--format", "json"], capsys)
     assert code == 0
     payload = json.loads(out)
@@ -152,7 +156,7 @@ def test_matrix_output(capsys):
     assert payload["order"][0] == "1+1+1+1"
 
 
-def test_matrix_csv_round_trip(capsys):
+def test_matrix_csv_round_trip(capsys, dense):
     code, out, _ = run_cli(["matrix", "--n", "5", "--format", "csv"], capsys)
     assert code == 0
     lines = out.strip().split("\n")
@@ -300,3 +304,84 @@ def test_parser_rejects_unknown_method():
         parser.parse_args(["count", "--mu", "3", "--k", "1",
                            "--method", "nope"])
     assert exc.value.code == 2
+
+
+def _whole_grid_output(command, n, fmt, eigen, dense):
+    """matrix or chartable stdout as it was written from a whole grid of
+    ints: json.dumps of all of it, csv.writer, and the padded text grid."""
+    index = enumerate_partitions(n)
+    labels = [serialize.partition_label(lam) for lam in index]
+    if command == "matrix":
+        key, grid = "entries", dense(build_transition_matrix(n))
+    else:
+        key, grid = "values", build_character_table(n).values
+    pairs = [(serialize.partition_label(lam), r)
+             for r, lam in sorted((rho(lam), lam) for lam in index)]
+    if fmt == "json":
+        payload = {"n": n, "order": labels,
+                   key: [[str(v) for v in row] for row in grid]}
+        if eigen:
+            payload["eigenvalues"] = [[label, str(r)] for label, r in pairs]
+        return json.dumps(payload, sort_keys=True, separators=(",", ": "),
+                          indent=2) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow([""] + labels)
+        for label, row in zip(labels, grid):
+            writer.writerow([label] + [str(v) for v in row])
+        for label, r in pairs if eigen else ():
+            buf.write(f"eigenvalue,{label},{r}\n")
+        return buf.getvalue()
+    width = max(max(len(s) for s in labels),
+                max(len(str(v)) for row in grid for v in row))
+    lines = [" " * (width + 2) + " ".join(f"{s:>{width}}" for s in labels)]
+    lines += [f"{label:>{width}}: " + " ".join(f"{v:>{width}}" for v in row)
+              for label, row in zip(labels, grid)]
+    if eigen:
+        lines += ["eigenvalues:"] + [f"  {label}: {r}" for label, r in pairs]
+    return "\n".join(lines) + "\n"
+
+
+def test_grid_outputs_match_whole_grid_formatters(capsys, dense,
+                                                  monkeypatch):
+    monkeypatch.delenv("PERMFACT_CACHE_DIR", raising=False)
+    cases = [("matrix", n, fmt, eigen) for n in range(2, 11)
+             for fmt in ("text", "csv", "json") for eigen in (False, True)]
+    cases += [("chartable", n, fmt, False) for n in range(1, 8)
+              for fmt in ("text", "csv", "json")]
+    for command, n, fmt, eigen in cases:
+        argv = [command, "--n", str(n), "--format", fmt]
+        code, out, _ = run_cli(argv + ["--eigen"] * eigen, capsys)
+        assert code == 0, argv
+        assert out == _whole_grid_output(command, n, fmt, eigen, dense), \
+            (argv, eigen)
+
+
+def test_matrix_json_peak_memory():
+    # the rows are written one at a time from sparse A_22 (0.1 % nonzero);
+    # a whole grid of its 1M entries and their strings peaked at 174 MB.
+    # The child reads its peak from VmHWM where Linux has it: ru_maxrss
+    # keeps the spawning process's peak across exec, so it would report
+    # this test process's size.
+    child = (
+        "import os, resource, sys\n"
+        "from permfact.cli import main\n"
+        "code = main(['matrix', '--n', '22', '--max-n', '22',"
+        " '--format', 'json'])\n"
+        "sys.stdout.flush()\n"
+        "if os.path.exists('/proc/self/status'):\n"
+        "    kb = next(int(line.split()[1]) for line in"
+        " open('/proc/self/status') if line.startswith('VmHWM:'))\n"
+        "else:\n"
+        "    kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "    kb //= 1024 if sys.platform == 'darwin' else 1\n"
+        "sys.stderr.write(f'{code} {kb}')\n")
+    src = os.path.dirname(os.path.dirname(permfact.__file__))
+    result = subprocess.run([sys.executable, "-c", child],
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": src},
+                            text=True, timeout=300)
+    code, kb = map(int, result.stderr.split())
+    assert code == 0
+    assert kb < 100 * 1024, f"peak RSS {kb / 1024:.0f} MB"

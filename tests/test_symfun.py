@@ -9,7 +9,7 @@ from permfact.symfun import (Poly, power_sum, expand_p, complete_homogeneous,
                              apply_dstar, matrix_of_dstar, p_basis_coords,
                              omega_on_p, schur_p_coords,
                              _divide_by_difference)
-from permfact.transition import build_transition_matrix, dense
+from permfact.transition import build_transition_matrix
 
 
 def test_power_sum_expansions():
@@ -63,7 +63,7 @@ def test_schur_eigenfunctions():
             assert apply_dstar(s) == s.scale(2 * n * (N - 1) + 2 * rho(lam))
 
 
-def test_matrix_of_dstar_n2_example():
+def test_matrix_of_dstar_n2_example(dense):
     # n=2, N=3: half the matrix minus 2(N-1) I is the transposed A_2
     M = matrix_of_dstar(2, 3)
     A = dense(build_transition_matrix(2))
@@ -75,7 +75,7 @@ def test_matrix_of_dstar_n2_example():
             assert M[r][c] == 2 * expect
 
 
-def test_matrix_of_dstar_matches_transition():
+def test_matrix_of_dstar_matches_transition(dense):
     for n in range(2, 5):
         A = dense(build_transition_matrix(n))
         size = len(A)

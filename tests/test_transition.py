@@ -3,13 +3,14 @@ from math import comb
 
 import pytest
 
+from permfact.characters import build_character_table
 from permfact.oracle import transpositions, compose, identity
 from permfact.partitions import enumerate_partitions, conjugate, rho
 from permfact.transition import (build_transition_matrix, build_raw_counts,
                                  verify_matrix_equality,
                                  matrix_equality_offenders,
                                  matrix_power_apply, row_sums,
-                                 bipartite_offenders, dense,
+                                 bipartite_offenders,
                                  zero_multiplicity_lower_bound,
                                  eigen_mismatches, dual_eigen_mismatches)
 
@@ -20,15 +21,15 @@ A4 = [[0, 6, 0, 0, 0],
       [0, 0, 2, 4, 0]]
 
 
-def test_a4_matrix():
+def test_a4_matrix(dense):
     assert dense(build_transition_matrix(4)) == A4
 
 
-def test_a2_matrix():
+def test_a2_matrix(dense):
     assert dense(build_transition_matrix(2)) == [[0, 1], [1, 0]]
 
 
-def test_single_entries_by_case():
+def test_single_entries_by_case(dense):
     # split a 2 of (2,1,1) into 1+1: source multiplicity of 1 is 2
     index = enumerate_partitions(4)
     m = dense(build_transition_matrix(4))
@@ -37,7 +38,7 @@ def test_single_entries_by_case():
     assert m[index.rank[(4,)]][index.rank[(2, 2)]] == 2
 
 
-def test_raw_counts_211_row():
+def test_raw_counts_211_row(dense):
     index = enumerate_partitions(4)
     raw = dense(build_raw_counts(4))
     row = raw[index.rank[(2, 1, 1)]]
@@ -144,3 +145,21 @@ def test_needs_n_at_least_2():
         matrix_power_apply([[]], -1, [1])
     with pytest.raises(ValueError):
         matrix_power_apply([[], []], 1, [1])
+
+
+def test_wrong_size_operands_are_rejected():
+    # a matrix or table for another n is refused, not compared: the
+    # comparison would pass, report bogus mismatches or die on an index
+    a4, a5 = build_transition_matrix(4), build_transition_matrix(5)
+    t4, t5 = build_character_table(4), build_character_table(5)
+    for call in (lambda: bipartite_offenders(5, a4),
+                 lambda: eigen_mismatches(4, matrix=a4, table=t5),
+                 lambda: eigen_mismatches(5, matrix=a5, table=t4),
+                 lambda: dual_eigen_mismatches(5, matrix=a4, table=t4),
+                 lambda: eigen_mismatches(5, matrix=a4, table=t5),
+                 lambda: dual_eigen_mismatches(5, matrix=a4, table=t5)):
+        with pytest.raises(ValueError):
+            call()
+    assert bipartite_offenders(5, a5) == []
+    assert eigen_mismatches(4, matrix=a4, table=t4) == []
+    assert dual_eigen_mismatches(5, matrix=a5, table=t5) == []
