@@ -72,7 +72,7 @@ class BorderStripTableau:
         return -1 if self.height % 2 else 1
 
 
-def enumerate_bst(lam, mu, max_n=BST_MAX_N):
+def enumerate_bst(lam, mu):
     """All border strip tableaux of shape lam and content mu, generated
     from the definition: weakly increasing rows and columns, each label
     edge-connected, no 2x2 block of a single label."""
@@ -81,8 +81,8 @@ def enumerate_bst(lam, mu, max_n=BST_MAX_N):
     n = sum(lam)
     if sum(mu) != n:
         raise ValueError(f"size mismatch: |{lam}| != |{mu}|")
-    if n > max_n:
-        raise ValueError(f"tableau enumeration capped at n <= {max_n}")
+    if n > BST_MAX_N:
+        raise ValueError(f"tableau enumeration capped at n <= {BST_MAX_N}")
 
     cells = [(r, c) for r, p in enumerate(lam) for c in range(p)]
     fill = {}
@@ -145,8 +145,8 @@ def _validate_bst(lam, mu, tab):
     return BorderStripTableau(lam, mu, tab, height, width)
 
 
-def bst_signed_count(lam, mu, max_n=BST_MAX_N):
-    return sum(t.sign() for t in enumerate_bst(lam, mu, max_n=max_n))
+def bst_signed_count(lam, mu):
+    return sum(t.sign() for t in enumerate_bst(lam, mu))
 
 
 def dimension_hook_formula(lam):
@@ -168,9 +168,14 @@ class CharacterTable:
     SCHEMA_VERSION = 2
 
     def __init__(self, index, values):
+        values = tuple(tuple(row) for row in values)
+        size = len(index)
+        if len(values) != size or any(len(row) != size for row in values):
+            raise ValueError(f"character table of S_{index.n} needs {size} "
+                             f"rows of {size} values")
         self.n = index.n
         self.index = index
-        self.values = tuple(tuple(row) for row in values)
+        self.values = values
 
     def row(self, lam):
         return self.values[self.index.position(lam)]
@@ -182,35 +187,15 @@ class CharacterTable:
         return self.values[self.index.position(lam)][0]
 
 
-def _table_rows(index, lams):
-    return [[_mn(lam, nu) for nu in index] for lam in lams]
+def _table_rows(index):
+    return [[_mn(lam, nu) for nu in index] for lam in index]
 
 
-def require_jobs(jobs):
-    """jobs, if in 1..os.cpu_count(); ValueError if not. A fork pool
-    starts all its workers at once, so every pool is bounded here."""
-    most = os.cpu_count() or 1
-    if not 1 <= jobs <= most:
-        raise ValueError(f"jobs must be in 1..{most}, got {jobs}")
-    return jobs
-
-
-def build_character_table(n, max_n=DEFAULT_MAX_N, jobs=1):
+def build_character_table(n, max_n=DEFAULT_MAX_N):
     """Full character table via the strip recursion. The first column is
     cross-checked against the hook length formula for every row."""
-    require_jobs(jobs)
     index = enumerate_partitions(n, max_n=max_n)
-    lams = list(index)
-    jobs = min(jobs, len(lams))  # no worker without a row to compute
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        chunks = [lams[i::jobs] for i in range(jobs)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_table_rows, [index] * jobs, chunks))
-        # lams[i] is row i // jobs of chunk i % jobs
-        values = [parts[i % jobs][i // jobs] for i in range(len(lams))]
-    else:
-        values = _table_rows(index, lams)
+    values = _table_rows(index)
     require_hook_dimensions(index, [row[0] for row in values])
     return CharacterTable(index, values)
 
@@ -291,23 +276,23 @@ def load_table(path, n, max_n=DEFAULT_MAX_N):
         raise ValueError("cache partition order mismatch")
     # with an explicit base int() parses strings only, so a value written
     # as a JSON number raises TypeError instead of being truncated
-    values = [[int(v, 10) for v in row] for row in payload["values"]]
-    if len(values) != len(index) or any(len(r) != len(index) for r in values):
-        raise ValueError("cache shape mismatch")
+    table = CharacterTable(
+        index, [[int(v, 10) for v in row] for row in payload["values"]])
     if payload.get("values_sha256") != _values_digest(payload["values"]):
         raise ValueError("cache values do not match their digest")
-    bad = dimension_offenders(index, [row[0] for row in values])
+    bad = dimension_offenders(index, [row[0] for row in table.values])
     if bad:
         raise ValueError(f"cache dimension of {bad[0]} disagrees with the "
                          f"hook length formula")
-    return CharacterTable(index, values)
+    return table
 
 
-def character_table_cached(n, cache_dir=None, jobs=1, max_n=DEFAULT_MAX_N):
+def character_table_cached(n, cache_dir=None, max_n=DEFAULT_MAX_N):
     """Build the table, reading/writing the versioned cache when a
-    directory is given. A corrupt cache is ignored and rebuilt."""
+    directory is given. A corrupt cache is ignored and rebuilt; a cache
+    file that cannot be read or replaced is a ValueError."""
     if cache_dir is None:
-        return build_character_table(n, max_n=max_n, jobs=jobs)
+        return build_character_table(n, max_n=max_n)
     try:
         os.makedirs(cache_dir, exist_ok=True)
     except OSError as exc:  # a file, or a path we may not create
@@ -316,9 +301,14 @@ def character_table_cached(n, cache_dir=None, jobs=1, max_n=DEFAULT_MAX_N):
     if os.path.exists(path):
         try:
             return load_table(path, n, max_n=max_n)
+        except OSError as exc:  # a directory, or a file we may not read
+            raise ValueError(f"unusable cache {path}: {exc}") from None
         except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
             print(f"warning: ignoring corrupt cache {path}: {exc}",
                   file=sys.stderr)
-    table = build_character_table(n, max_n=max_n, jobs=jobs)
-    save_table(table, path)
+    table = build_character_table(n, max_n=max_n)
+    try:
+        save_table(table, path)
+    except OSError as exc:
+        raise ValueError(f"unusable cache {path}: {exc}") from None
     return table

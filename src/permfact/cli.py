@@ -10,7 +10,7 @@ import os
 import sys
 
 from . import serialize
-from .characters import character_table_cached, require_jobs
+from .characters import character_table_cached
 from .counting import (count_spectral, count_matrix_method, count_goulden,
                        count_two_cycle, series_prefix)
 from .oracle import count_brute, BRUTE_MAX_N, BRUTE_MAX_K
@@ -44,14 +44,6 @@ def _resolve_mu(args):
     if args.n is not None and args.n != n:
         raise UsageError(f"--mu {args.mu} sums to {n}, not --n {args.n}")
     return mu, n, _ceiling(args, n)
-
-
-def _jobs(text):
-    value = int(text)
-    try:
-        return require_jobs(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def cmd_count(args, out):
@@ -131,7 +123,7 @@ def cmd_matrix(args, out):
 def cmd_chartable(args, out):
     cache_dir = args.cache_dir or os.environ.get("PERMFACT_CACHE_DIR") or None
     table = character_table_cached(args.n, cache_dir=cache_dir,
-                                   jobs=args.jobs, **_ceiling(args, args.n))
+                                   **_ceiling(args, args.n))
     if args.format == "json":
         out.write(serialize.chartable_json(table))
     elif args.format == "csv":
@@ -160,7 +152,7 @@ def cmd_series(args, out):
 
 
 def cmd_verify(args, out):
-    results = run_battery(deep=args.deep, jobs=args.jobs)
+    results = run_battery(deep=args.deep)
     width = max(len(r.name) for r in results)
     failed = 0
     for r in results:
@@ -192,11 +184,6 @@ def build_parser():
                     "transpositions, with cross-validated spectral, "
                     "matrix-power, closed-form and brute-force methods.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def jobs(p):
-        p.add_argument("--jobs", type=_jobs, default=1,
-                       help="parallel workers, 1 up to the CPU count; "
-                            "results are identical for any value")
 
     def common(p, cache=False, mu=False, k=False, terms=False):
         p.add_argument("--n", type=int, default=None,
@@ -234,7 +221,6 @@ def build_parser():
 
     p = sub.add_parser("chartable", help="emit the character table")
     common(p, cache=True)
-    jobs(p)
     p.set_defaults(func=cmd_chartable)
 
     p = sub.add_parser("series", help="generating function coefficients c_k/k!")
@@ -242,7 +228,6 @@ def build_parser():
     p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("verify", help="run the cross-validation battery")
-    jobs(p)
     p.add_argument("--deep", action="store_true",
                    help="raise all scale ceilings")
     p.set_defaults(func=cmd_verify)

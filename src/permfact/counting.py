@@ -48,13 +48,12 @@ def count_spectral(mu, k, table=None, max_n=DEFAULT_MAX_N):
     return _expansion(_spectral_terms(mu, table, max_n), k, sum(mu))
 
 
-def count_matrix_method(mu, k, matrix=None, max_n=DEFAULT_MAX_N):
+def count_matrix_method(mu, k, max_n=DEFAULT_MAX_N):
     """c_k(mu) as the mu entry of A^k applied to the unit vector at 1^n."""
     mu = check_partition(mu)
     n = sum(mu)
     index = enumerate_partitions(n, max_n=max_n)
-    if matrix is None:
-        matrix = build_transition_matrix(n, max_n=max_n)
+    matrix = build_transition_matrix(n, max_n=max_n)
     e = [0] * len(index)
     e[0] = 1  # canonical order starts at 1^n
     return matrix_power_apply(matrix, k, e)[index.rank[mu]]

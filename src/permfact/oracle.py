@@ -13,6 +13,9 @@ BRUTE_MAX_N = 7
 BRUTE_MAX_K = 16
 TUPLE_MAX_N = 4
 TUPLE_MAX_K = 5
+CUT_GLUE_MAX_N = 8
+CLASS_MAX_N = 6
+CLASS_MAX_K = 8
 
 
 def identity(n):
@@ -85,25 +88,26 @@ def walk_distributions(n, kmax):
     return elements, index, vecs
 
 
-def count_brute(mu, k, max_n=BRUTE_MAX_N, max_k=BRUTE_MAX_K):
+def count_brute(mu, k):
     """Count factorizations of a type-mu permutation into k transpositions
     by group-algebra dynamic programming."""
     n = sum(mu)
-    if n > max_n:
-        raise ValueError(f"brute-force ceiling is n <= {max_n}, got n={n}")
+    if n > BRUTE_MAX_N:
+        raise ValueError(f"brute-force ceiling is n <= {BRUTE_MAX_N}, got n={n}")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if k > max_k:
-        raise ValueError(f"brute-force ceiling is k <= {max_k}, got k={k}")
+    if k > BRUTE_MAX_K:
+        raise ValueError(f"brute-force ceiling is k <= {BRUTE_MAX_K}, got k={k}")
     _, index, vecs = walk_distributions(n, k)
     return vecs[k][index[class_representative(mu)]]
 
 
-def count_tuples(mu, k, max_n=TUPLE_MAX_N, max_k=TUPLE_MAX_K):
+def count_tuples(mu, k):
     """Same count by literally enumerating k-tuples of transpositions."""
     n = sum(mu)
-    if n > max_n or k > max_k:
-        raise ValueError(f"tuple enumeration capped at n <= {max_n}, k <= {max_k}")
+    if n > TUPLE_MAX_N or k > TUPLE_MAX_K:
+        raise ValueError(f"tuple enumeration capped at n <= {TUPLE_MAX_N}, "
+                         f"k <= {TUPLE_MAX_K}")
     target = class_representative(mu)
     total = 0
     for tup in _product(transpositions(n), repeat=k):
@@ -115,11 +119,11 @@ def count_tuples(mu, k, max_n=TUPLE_MAX_N, max_k=TUPLE_MAX_K):
     return total
 
 
-def verify_cut_glue(n, max_n=8):
+def verify_cut_glue(n):
     """Exhaustively check that a transposition (i j) cuts a cycle of alpha
     when i and j share a cycle, and glues two cycles otherwise."""
-    if n > max_n:
-        raise ValueError(f"cut/glue check capped at n <= {max_n}")
+    if n > CUT_GLUE_MAX_N:
+        raise ValueError(f"cut/glue check capped at n <= {CUT_GLUE_MAX_N}")
     taus = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for alpha in _all_perms(range(n)):
         ct = cycle_type(alpha)
@@ -144,10 +148,11 @@ def _same_cycle(p, i, j):
     return False
 
 
-def verify_class_invariance(n, k, max_n=6, max_k=8):
+def verify_class_invariance(n, k):
     """Check that factorization counts are constant on conjugacy classes."""
-    if n > max_n or k > max_k:
-        raise ValueError(f"class invariance check capped at n <= {max_n}, k <= {max_k}")
+    if n > CLASS_MAX_N or k > CLASS_MAX_K:
+        raise ValueError(f"class invariance check capped at n <= {CLASS_MAX_N}, "
+                         f"k <= {CLASS_MAX_K}")
     elements, index, vecs = walk_distributions(n, k)
     per_class = {}
     for g in elements:

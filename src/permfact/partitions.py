@@ -116,13 +116,13 @@ def hook_lengths(lam):
             for r, p in enumerate(lam) for c in range(p)]
 
 
-def parity_census(n, max_n=DEFAULT_MAX_N):
+def parity_census(n):
     """Counts of (even-length, odd-length, self-conjugate) partitions of n.
 
     For n > 2 the even/odd counts differ by exactly the number of
     self-conjugate partitions; this is checked here.
     """
-    index = enumerate_partitions(n, max_n=max_n)
+    index = enumerate_partitions(n)
     evens = sum(1 for lam in index if len(lam) % 2 == 0)
     odds = len(index) - evens
     self_conj = sum(1 for lam in index if lam == conjugate(lam))

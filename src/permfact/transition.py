@@ -73,12 +73,12 @@ def _canon(parts):
     return tuple(sorted(parts, reverse=True))
 
 
-def build_raw_counts(n, max_n=DEFAULT_MAX_N):
+def build_raw_counts(n):
     """Transition counts tallied by acting with every transposition on a
     fixed representative of each class. Row t, column s: moves t -> s."""
     if n < 2:
         raise ValueError("raw counts need n >= 2")
-    index = enumerate_partitions(n, max_n=max_n)
+    index = enumerate_partitions(n)
     taus = transpositions(n)
     rows = []
     for t in index:

@@ -13,8 +13,7 @@ from math import comb, factorial
 
 from . import oracle, transition, symfun
 from .characters import (build_character_table, bst_signed_count,
-                         dimension_offenders, mn_character, require_jobs,
-                         BST_MAX_N)
+                         dimension_offenders, mn_character, BST_MAX_N)
 from .counting import count_spectral, count_goulden, count_two_cycle
 from .partitions import (enumerate_partitions, conjugate, class_size, rho,
                          z_value, parity_census)
@@ -98,32 +97,25 @@ def check_eigen_relations(n_max=10):
     return _result("eigen-relations", True, f"n <= {n_max}")
 
 
-def _orthogonality_offenders(table):
-    """Row pairs a <= b of the table where sum_nu chi_a(nu) chi_b(nu) / z_nu
-    is not delta(a, b); checked in integers after scaling by n!.
-
-    Row-major order, so the first pair is also the first offending (a, b)
-    of the full square: the sum is symmetric in a and b."""
-    nfact = factorial(table.n)
-    weights = [nfact // z_value(nu) for nu in table.index]
-    for a, row_a in enumerate(table.values):
-        weighted = [w * x for w, x in zip(weights, row_a)]
-        for b in range(a, len(table.values)):
-            dot = sum(x * y for x, y in zip(weighted, table.values[b]))
-            if dot != (nfact if a == b else 0):
-                yield a, b
-
-
 def check_character_table(n_max=10):
-    """Orthogonality, conjugation symmetry, hook dimensions, Burnside."""
+    """Row orthogonality, conjugation symmetry, hook dimensions, Burnside.
+
+    Rows a <= b are orthogonal, sum_nu chi_a(nu) chi_b(nu) / z_nu =
+    delta(a, b), checked in integers after scaling by n!."""
     for n in range(1, n_max + 1):
         table = build_character_table(n)
         index = table.index
         for lam in dimension_offenders(index, [r[0] for r in table.values]):
             return _result("character-table", False, f"dimension at {lam}")
-        for a, b in _orthogonality_offenders(table):
-            return _result("character-table", False,
-                           f"orthogonality at n={n} ({a},{b})")
+        nfact = factorial(n)
+        weights = [nfact // z_value(nu) for nu in index]
+        for a, row_a in enumerate(table.values):
+            weighted = [w * x for w, x in zip(weights, row_a)]
+            for b in range(a, len(table.values)):
+                dot = sum(x * y for x, y in zip(weighted, table.values[b]))
+                if dot != (nfact if a == b else 0):
+                    return _result("character-table", False,
+                                   f"orthogonality at n={n} ({a},{b})")
         for lam in index:
             conj_row = table.row(conjugate(lam))
             row = table.row(lam)
@@ -132,7 +124,7 @@ def check_character_table(n_max=10):
                 if conj_row[pos] != sign * row[pos]:
                     return _result("character-table", False,
                                    f"conjugation at ({lam}, {nu})")
-        if sum(row[0] ** 2 for row in table.values) != factorial(n):
+        if sum(row[0] ** 2 for row in table.values) != nfact:
             return _result("character-table", False, f"Burnside at n={n}")
     return _result("character-table", True, f"n <= {n_max}")
 
@@ -238,12 +230,18 @@ def check_mass_conservation(n_max=7, k_max=10):
 
 
 def check_dual_bases(n_max=10):
-    """sum_nu chi^lam(nu) chi^mu(nu) / z_nu = delta(lam, mu)."""
+    """sum_lam chi^lam(mu) chi^lam(nu) = z_mu delta(mu, nu), the power-sum
+    side of the Hall pairing; character-table checks the Schur side."""
     for n in range(1, n_max + 1):
         table = build_character_table(n)
-        for a, b in _orthogonality_offenders(table):
-            return _result("dual-bases", False, f"({table.index.ordered[a]}, "
-                                                f"{table.index.ordered[b]})")
+        parts = table.index.ordered
+        columns = list(zip(*table.values))
+        for a, col_a in enumerate(columns):
+            for b in range(a, len(columns)):
+                dot = sum(x * y for x, y in zip(col_a, columns[b]))
+                if dot != (z_value(parts[a]) if a == b else 0):
+                    return _result("dual-bases", False,
+                                   f"({parts[a]}, {parts[b]})")
     return _result("dual-bases", True, f"n <= {n_max}")
 
 
@@ -289,10 +287,9 @@ def check_dstar(n_max=3, second_N=False):
                    f"n <= {n_max}, N in {{n+1{', n+2' if second_N else ''}}}")
 
 
-def run_battery(deep=False, jobs=1):
+def run_battery(deep=False):
     """Run every check; deep mode raises all ceilings. A check that
     raises is a fault, not a result: the exception propagates."""
-    require_jobs(jobs)
     specs = [
         (check_rho_symmetries, {"n_max": 15 if deep else 12}),
         (check_census, {"n_max": 15 if deep else 12}),
@@ -318,9 +315,4 @@ def run_battery(deep=False, jobs=1):
         (check_omega, {"n_max": 6 if deep else 5}),
         (check_dstar, {"n_max": 5 if deep else 3, "second_N": deep}),
     ]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(jobs, len(specs))) as pool:
-            futures = [pool.submit(fn, **kw) for fn, kw in specs]
-            return [f.result() for f in futures]
     return [fn(**kw) for fn, kw in specs]

@@ -140,12 +140,6 @@ def test_mn_order_invariance(data):
     assert mn_character(lam, tuple(shuffled)) == mn_character(lam, mu)
 
 
-def test_parallel_build_matches_serial():
-    serial = build_character_table(7)
-    parallel = build_character_table(7, jobs=2)
-    assert serial.values == parallel.values
-
-
 def test_cache_roundtrip(tmp_path):
     table = build_character_table(6)
     path = tmp_path / "chartable_n6.json"

@@ -125,8 +125,8 @@ def test_usage_errors_exit_2(capsys):
                     "--method", "goulden"], capsys)[0] == 2
     assert run_cli(["matrix", "--n", "1"], capsys)[0] == 2
     assert run_cli(["partitions", "--n", "25"], capsys)[0] == 2
-    # options a subcommand does not read, and --jobs outside 1..cpu_count,
-    # are refused by argparse itself, before any pool starts
+    # options a subcommand does not read, --jobs among them with any
+    # value, are refused by argparse itself
     too_many = str((os.cpu_count() or 1) + 1)
     for argv in (["verify", "--format", "json"], ["verify", "--n", "5"],
                  ["verify", "--max-n", "25"], ["verify", "--cache-dir", "X"],
@@ -204,6 +204,12 @@ def test_cache_dir_that_is_a_file_is_a_usage_error(tmp_path, capsys,
     monkeypatch.setenv("PERMFACT_CACHE_DIR", str(not_a_dir))
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (2, "") and err.startswith("error: "), err
+    # a directory where the cache file belongs can be neither read nor
+    # replaced
+    (tmp_path / "dir" / "chartable_n4.json").mkdir(parents=True)
+    code, out, err = run_cli(argv + ["--cache-dir", str(tmp_path / "dir")],
+                             capsys)
+    assert (code, out) == (2, "") and err.startswith("error: unusable"), err
 
 
 def test_count_and_series_read_no_table(tmp_path, capsys, monkeypatch):

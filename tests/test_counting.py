@@ -163,8 +163,11 @@ def test_validation_errors():
         count_spectral((3, 1), 2, table=build_character_table(5))
     with pytest.raises(ValueError):
         count_goulden(0, 1)
-    # chi^(4)((4)) = 1 changed to 2: the k = 0 sum is 1, not a multiple of 4!
     table = build_character_table(4)
+    with pytest.raises(ValueError):  # S_4's table without its row 0
+        count_spectral((2, 2), 3, table=CharacterTable(table.index,
+                                                       table.values[1:]))
+    # chi^(4)((4)) = 1 changed to 2: the k = 0 sum is 1, not a multiple of 4!
     values = [list(row) for row in table.values]
     values[-1][-1] += 1
     tampered = CharacterTable(table.index, values)
