@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from functools import cache
 from math import factorial
 
-from .partitions import (enumerate_partitions, check_partition, conjugate,
-                         hook_lengths, DEFAULT_MAX_N)
+from .partitions import enumerate_partitions, check_partition, hook_lengths
 
 BST_MAX_N = 8
 
@@ -173,6 +172,10 @@ class CharacterTable:
         if len(values) != size or any(len(row) != size for row in values):
             raise ValueError(f"character table of S_{index.n} needs {size} "
                              f"rows of {size} values")
+        bad = dimension_offenders(index, [row[0] for row in values])
+        if bad:
+            raise ValueError(f"dimension of {bad[0]} in the character table "
+                             f"disagrees with the hook length formula")
         self.n = index.n
         self.index = index
         self.values = values
@@ -191,10 +194,11 @@ def _table_rows(index):
     return [[_mn(lam, nu) for nu in index] for lam in index]
 
 
-def build_character_table(n, max_n=DEFAULT_MAX_N):
+def build_character_table(n):
     """Full character table via the strip recursion. The first column is
-    cross-checked against the hook length formula for every row."""
-    index = enumerate_partitions(n, max_n=max_n)
+    cross-checked against the hook length formula for every row, before
+    CharacterTable checks it as input, so a fault here is a RuntimeError."""
+    index = enumerate_partitions(n)
     values = _table_rows(index)
     require_hook_dimensions(index, [row[0] for row in values])
     return CharacterTable(index, values)
@@ -260,7 +264,7 @@ def save_table(table, path):
         raise
 
 
-def load_table(path, n, max_n=DEFAULT_MAX_N):
+def load_table(path, n):
     """Read a cached table. Raises ValueError or TypeError for anything
     save_table would not have written for a correct table."""
     with open(path) as fh:
@@ -271,7 +275,7 @@ def load_table(path, n, max_n=DEFAULT_MAX_N):
         raise ValueError("unsupported cache schema")
     if payload.get("n") != n:
         raise ValueError("cache is for a different n")
-    index = enumerate_partitions(n, max_n=max_n)
+    index = enumerate_partitions(n)
     if [list(lam) for lam in index] != payload["partitions"]:
         raise ValueError("cache partition order mismatch")
     # with an explicit base int() parses strings only, so a value written
@@ -280,19 +284,15 @@ def load_table(path, n, max_n=DEFAULT_MAX_N):
         index, [[int(v, 10) for v in row] for row in payload["values"]])
     if payload.get("values_sha256") != _values_digest(payload["values"]):
         raise ValueError("cache values do not match their digest")
-    bad = dimension_offenders(index, [row[0] for row in table.values])
-    if bad:
-        raise ValueError(f"cache dimension of {bad[0]} disagrees with the "
-                         f"hook length formula")
     return table
 
 
-def character_table_cached(n, cache_dir=None, max_n=DEFAULT_MAX_N):
+def character_table_cached(n, cache_dir=None):
     """Build the table, reading/writing the versioned cache when a
     directory is given. A corrupt cache is ignored and rebuilt; a cache
     file that cannot be read or replaced is a ValueError."""
     if cache_dir is None:
-        return build_character_table(n, max_n=max_n)
+        return build_character_table(n)
     try:
         os.makedirs(cache_dir, exist_ok=True)
     except OSError as exc:  # a file, or a path we may not create
@@ -300,13 +300,13 @@ def character_table_cached(n, cache_dir=None, max_n=DEFAULT_MAX_N):
     path = cache_path(cache_dir, n)
     if os.path.exists(path):
         try:
-            return load_table(path, n, max_n=max_n)
+            return load_table(path, n)
         except OSError as exc:  # a directory, or a file we may not read
             raise ValueError(f"unusable cache {path}: {exc}") from None
         except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
             print(f"warning: ignoring corrupt cache {path}: {exc}",
                   file=sys.stderr)
-    table = build_character_table(n, max_n=max_n)
+    table = build_character_table(n)
     try:
         save_table(table, path)
     except OSError as exc:

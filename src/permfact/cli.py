@@ -28,14 +28,13 @@ class UsageError(Exception):
 
 
 def _ceiling(args, n, least=1):
-    """The CLI's one size check, least <= n <= --max-n. Returns the keyword
-    that hands the ceiling on to the library, which checks it again where
-    the partition index is made."""
+    """The one size check, least <= n <= --max-n; returns n. The library
+    takes any n >= 1, so the ceiling is a policy of the CLI alone."""
     if n is None or n < least:
         raise UsageError(f"{args.command} needs --n >= {least}")
     if n > args.max_n:
         raise UsageError(f"n={n} exceeds ceiling {args.max_n}")
-    return {"max_n": args.max_n}
+    return n
 
 
 def _resolve_mu(args):
@@ -43,11 +42,11 @@ def _resolve_mu(args):
     n = sum(mu)
     if args.n is not None and args.n != n:
         raise UsageError(f"--mu {args.mu} sums to {n}, not --n {args.n}")
-    return mu, n, _ceiling(args, n)
+    return mu, _ceiling(args, n)
 
 
 def cmd_count(args, out):
-    mu, n, ceiling = _resolve_mu(args)
+    mu, n = _resolve_mu(args)
     methods = [args.method] if args.method != "all" else None
     if methods is None:
         methods = ["spectral"]
@@ -62,9 +61,9 @@ def cmd_count(args, out):
     results = []
     for method in methods:
         if method == "spectral":
-            value = count_spectral(mu, args.k, **ceiling)
+            value = count_spectral(mu, args.k)
         elif method == "matrix":
-            value = count_matrix_method(mu, args.k, **ceiling)
+            value = count_matrix_method(mu, args.k)
         elif method == "goulden":
             if len(mu) != 1:
                 raise UsageError("goulden method needs a single-part mu")
@@ -72,7 +71,7 @@ def cmd_count(args, out):
         elif method == "two-cycle":
             if len(mu) != 2:
                 raise UsageError("two-cycle method needs a two-part mu")
-            value = count_two_cycle(mu[0], mu[1], args.k, **ceiling)
+            value = count_two_cycle(mu[0], mu[1], args.k, max_n=args.max_n)
         else:  # brute
             if n > BRUTE_MAX_N:
                 raise UsageError(f"brute method capped at n <= {BRUTE_MAX_N}")
@@ -100,9 +99,9 @@ def cmd_count(args, out):
 
 
 def cmd_matrix(args, out):
-    ceiling = _ceiling(args, args.n, least=2)
-    index = enumerate_partitions(args.n, **ceiling)
-    rows = build_transition_matrix(args.n, **ceiling)
+    n = _ceiling(args, args.n, least=2)
+    index = enumerate_partitions(n)
+    rows = build_transition_matrix(n)
     pairs = sorted(((rho(lam), lam) for lam in index)) if args.eigen else None
     if args.format == "json":
         out.write(serialize.matrix_json(index, rows, eigen=pairs))
@@ -122,8 +121,7 @@ def cmd_matrix(args, out):
 
 def cmd_chartable(args, out):
     cache_dir = args.cache_dir or os.environ.get("PERMFACT_CACHE_DIR") or None
-    table = character_table_cached(args.n, cache_dir=cache_dir,
-                                   **_ceiling(args, args.n))
+    table = character_table_cached(_ceiling(args, args.n), cache_dir=cache_dir)
     if args.format == "json":
         out.write(serialize.chartable_json(table))
     elif args.format == "csv":
@@ -134,8 +132,8 @@ def cmd_chartable(args, out):
 
 
 def cmd_series(args, out):
-    mu, n, ceiling = _resolve_mu(args)
-    prefix = series_prefix(mu, args.terms, **ceiling)
+    mu, _ = _resolve_mu(args)
+    prefix = series_prefix(mu, args.terms)
     if args.format == "json":
         out.write(serialize.series_json(prefix))
     elif args.format == "csv":
@@ -164,7 +162,7 @@ def cmd_verify(args, out):
 
 
 def cmd_partitions(args, out):
-    index = enumerate_partitions(args.n, **_ceiling(args, args.n))
+    index = enumerate_partitions(_ceiling(args, args.n))
     if args.format == "json":
         out.write(serialize.partitions_json(index))
     elif args.format == "csv":

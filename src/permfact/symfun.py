@@ -159,15 +159,10 @@ def elementary(n, N):
 def schur_from_characters(lam, N, table=None):
     """s_lam = sum_nu chi^lam(nu) p_nu / z_nu. Coefficients must come out
     as nonnegative integers; anything else flags a broken table."""
-    lam = check_partition(lam)
-    n = sum(lam)
-    if table is None:
-        table = build_character_table(n)
     out = Poly(N)
-    for nu in table.index:
-        chi = table.value(lam, nu)
-        if chi:
-            out = out + expand_p(nu, N).scale(Fraction(chi, z_value(nu)))
+    for nu, c in schur_p_coords(lam, table=table).items():
+        if c:
+            out = out + expand_p(nu, N).scale(c)
     for exps, c in out.terms.items():
         if c.denominator != 1 or c < 0:
             raise RuntimeError(f"non-integer or negative Schur coefficient "

@@ -26,15 +26,15 @@ from collections import Counter
 from math import factorial
 
 from .partitions import (enumerate_partitions, multiplicities, conjugate,
-                         class_size, z_value, rho, DEFAULT_MAX_N)
+                         class_size, z_value, rho)
 from .oracle import class_representative, transpositions, compose, cycle_type
 
 
-def build_transition_matrix(n, max_n=DEFAULT_MAX_N):
+def build_transition_matrix(n):
     """Construct A_n from the four closed move formulas."""
     if n < 2:
         raise ValueError("transition matrix needs n >= 2")
-    index = enumerate_partitions(n, max_n=max_n)
+    index = enumerate_partitions(n)
     rows = [Counter() for _ in index]
     for col, source in enumerate(index):
         k = multiplicities(source)

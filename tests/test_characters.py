@@ -1,7 +1,6 @@
 import json
 import os
 from fractions import Fraction
-from itertools import permutations
 from math import comb, factorial
 
 import pytest

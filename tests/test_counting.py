@@ -167,6 +167,11 @@ def test_validation_errors():
     with pytest.raises(ValueError):  # S_4's table without its row 0
         count_spectral((2, 2), 3, table=CharacterTable(table.index,
                                                        table.values[1:]))
+    # chi^(2,2)(1^4) = 2 changed to 14: the k = 0 sum would be 1, not 0
+    values = [list(row) for row in table.values]
+    values[2][0] = 14
+    with pytest.raises(ValueError, match=r"\(2, 2\).*hook length formula"):
+        count_spectral((2, 2), 0, table=CharacterTable(table.index, values))
     # chi^(4)((4)) = 1 changed to 2: the k = 0 sum is 1, not a multiple of 4!
     values = [list(row) for row in table.values]
     values[-1][-1] += 1

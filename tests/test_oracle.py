@@ -1,8 +1,8 @@
-from math import comb, factorial
+from math import comb
 
 import pytest
 
-from permfact.oracle import (identity, compose, cycle_type, transpositions,
+from permfact.oracle import (identity, cycle_type, transpositions,
                              class_representative, walk_distributions,
                              count_brute, count_tuples, verify_cut_glue,
                              verify_class_invariance)

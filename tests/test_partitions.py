@@ -60,8 +60,8 @@ def test_bounds_errors():
     with pytest.raises(ValueError):
         PartitionIndex(0)
     with pytest.raises(ValueError):
-        PartitionIndex(21)
-    assert len(PartitionIndex(21, max_n=25)) == 792
+        PartitionIndex(True)
+    assert len(PartitionIndex(21)) == 792
     with pytest.raises(ValueError):
         check_partition((1, 2))
     with pytest.raises(ValueError):

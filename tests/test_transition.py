@@ -73,14 +73,14 @@ def test_row_sums_and_bipartite():
 
 
 def test_sparse_rows_at_n30():
-    m = build_transition_matrix(30, max_n=30)
+    m = build_transition_matrix(30)
     assert len(m) == 5604
     for row in m:
         assert all(v != 0 for _, v in row)
         cols = [j for j, _ in row]
         assert all(a < b for a, b in zip(cols, cols[1:]))
     assert row_sums(m) == [comb(30, 2)] * len(m)
-    index = enumerate_partitions(30, max_n=30)
+    index = enumerate_partitions(30)
     for t, row in zip(index, m):
         for b, _ in row:
             assert abs(len(t) - len(index.ordered[b])) == 1
