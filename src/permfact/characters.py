@@ -1,9 +1,11 @@
 """Irreducible character values of S_n, combinatorially.
 
-mn_character peels border strips recursively; enumerate_bst generates
-the signed tableaux one by one from the raw definition and exists to
-keep the recursion honest. Dimensions come from hook lengths as a third
-route.
+Shapes are beta-sets held as bitmasks, and one helper slides a bead by
++r or -r to add or remove a border strip of size r. mn_character peels
+strips recursively; character_column adds them to the empty shape and
+yields column mu over its support only. enumerate_bst generates the
+signed tableaux one by one from the raw definition and exists to keep
+the recursion honest. Dimensions come from hook lengths as a third route.
 """
 
 import json
@@ -11,6 +13,7 @@ import os
 import sys
 from dataclasses import dataclass
 from functools import cache
+from itertools import accumulate
 from math import factorial
 
 from .partitions import enumerate_partitions, check_partition, hook_lengths
@@ -18,21 +21,46 @@ from .partitions import enumerate_partitions, check_partition, hook_lengths
 BST_MAX_N = 8
 
 
-def _strip_removals(shape, r):
-    """Yield (smaller shape, strip height) for every removable border
-    strip of size r. Shapes are encoded as first-column hook lengths
-    (beta numbers): removing a strip subtracts r from one beta number."""
-    L = len(shape)
-    beta = [shape[i] + (L - 1 - i) for i in range(L)]
-    bset = set(beta)
-    for b in beta:
-        nb = b - r
-        if nb < 0 or nb in bset:
-            continue
-        height = sum(1 for x in beta if nb < x < b)
-        nbeta = sorted((bset - {b}) | {nb}, reverse=True)
-        nshape = tuple(nbeta[i] - (L - 1 - i) for i in range(L))
-        yield tuple(p for p in nshape if p > 0), height
+def _beads(lam):
+    """Beta-set of lam as a bitmask, one bead per part: part i of L sits
+    at position lam_i + (L - 1 - i). Only the empty shape has a bead-free
+    mask, and no other mask has a bead at 0, so a shape has one mask at
+    every n."""
+    mask = 0
+    for i, p in enumerate(reversed(lam)):
+        mask |= 1 << (p + i)
+    return mask
+
+
+def _canonical(mask):
+    """Shift out the beads at 0, 1, ...: they stand for parts of size 0."""
+    return mask >> ((mask ^ (mask + 1)).bit_length() - 1)
+
+
+def _shape(mask):
+    """The partition with beta-set mask: each bead's part is the number
+    of empty positions below it."""
+    gaps = [len(g) for g in bin(mask)[2:].split("1")[1:]]  # top bead first
+    parts = list(accumulate(reversed(gaps)))  # bottom bead first
+    return tuple(p for p in reversed(parts) if p)
+
+
+def _slides(mask, step):
+    """(new mask, strip height) for every bead that can move by step onto
+    an empty position >= 0. A move by +r adds a border strip of size r and
+    a move by -r removes one (Murnaghan-Nakayama in abacus form); the
+    height is the number of beads strictly between the two positions."""
+    r = abs(step)
+    if step > 0:
+        movable = mask & ~(mask >> r)
+    else:
+        movable = (mask & ~(mask << r)) >> r << r
+    between = (1 << (r - 1)) - 1
+    while movable:
+        b = movable.bit_length() - 1
+        movable ^= 1 << b
+        height = ((mask >> (min(b, b + step) + 1)) & between).bit_count()
+        yield mask ^ (1 << b) ^ (1 << (b + step)), height
 
 
 def mn_character(lam, mu):
@@ -45,18 +73,38 @@ def mn_character(lam, mu):
     mu = tuple(mu)
     if sum(lam) != sum(mu):
         raise ValueError(f"size mismatch: |{lam}| != |{mu}|")
-    return _mn(lam, mu)
+    return _mn(_beads(lam), mu)
 
 
 @cache
-def _mn(shape, mu):
+def _mn(mask, mu):
     if not mu:
-        return 1 if not shape else 0
+        return 1 if not mask else 0
     rest = mu[1:]
     total = 0
-    for nshape, height in _strip_removals(shape, mu[0]):
-        total += -_mn(nshape, rest) if height % 2 else _mn(nshape, rest)
+    for smaller, height in _slides(mask, -mu[0]):
+        value = _mn(_canonical(smaller), rest)
+        total += -value if height % 2 else value
     return total
+
+
+def character_column(mu):
+    """{lam: chi^lam(mu)} over exactly the lam where it is nonzero.
+
+    Border strips of sizes mu_1, mu_2, ... are added to the empty shape,
+    held as n beads at 0 .. n-1, carrying signed values; a shape whose
+    value sums to 0 is dropped after each part. P(n) is never enumerated,
+    so the cost follows the support, not p(n)."""
+    mu = check_partition(mu)
+    states = {(1 << sum(mu)) - 1: 1}
+    for r in mu:
+        grown = {}
+        for mask, value in states.items():
+            for larger, height in _slides(mask, r):
+                grown[larger] = grown.get(larger, 0) + \
+                    (-value if height % 2 else value)
+        states = {mask: value for mask, value in grown.items() if value}
+    return {_shape(mask): value for mask, value in states.items()}
 
 
 @dataclass(frozen=True)
@@ -191,7 +239,8 @@ class CharacterTable:
 
 
 def _table_rows(index):
-    return [[_mn(lam, nu) for nu in index] for lam in index]
+    return [[_mn(mask, nu) for nu in index]
+            for mask in map(_beads, index)]
 
 
 def build_character_table(n):

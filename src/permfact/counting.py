@@ -12,9 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .partitions import check_partition, enumerate_partitions, rho, DEFAULT_MAX_N
+from .partitions import (check_partition, enumerate_partitions, rho, z_value,
+                         DEFAULT_MAX_N)
 from .transition import build_transition_matrix, matrix_power_apply
-from .characters import mn_character, require_hook_dimensions
+from .characters import character_column, dimension_hook_formula
 
 
 def _expansion(terms, k, n):
@@ -29,17 +30,25 @@ def _expansion(terms, k, n):
 
 
 def _spectral_terms(mu, table):
-    """(chi^lam(1^n) chi^lam(mu), rho_lam) for every lam of |mu|, from two
-    character columns: table's, or the strip recursion's if table is None."""
-    if table is None:
-        index = enumerate_partitions(sum(mu))
-        dims = [mn_character(lam, (1,) * index.n) for lam in index]
-        require_hook_dimensions(index, dims)
-        chis = zip(dims, [mn_character(lam, mu) for lam in index])
-    else:
-        index, at = table.index, table.index.position(mu)
-        chis = [(row[0], row[at]) for row in table.values]
-    return [(d * c, rho(lam)) for lam, (d, c) in zip(index, chis)]
+    """(chi^lam(1^n) chi^lam(mu), rho_lam) for the lam of |mu|, from
+    table's two columns, or else over the support of column mu with
+    dimensions from the hook formula."""
+    if table is not None:
+        at = table.index.position(mu)
+        return [(row[0] * row[at], rho(lam))
+                for lam, row in zip(table.index, table.values)]
+    column = character_column(mu)
+    dims = {lam: dimension_hook_formula(lam) for lam in column}
+    n = sum(mu)
+    # column orthogonality, on exactly the data the count reads
+    if sum(chi * chi for chi in column.values()) != z_value(mu):
+        raise RuntimeError(f"column {mu} of the character table does not "
+                           f"have squared norm z = {z_value(mu)}")
+    pairing = sum(dims[lam] * chi for lam, chi in column.items())
+    if pairing != (factorial(n) if mu == (1,) * n else 0):
+        raise RuntimeError(f"hook dimensions and column {mu} are not "
+                           f"orthogonal: sum of dim * chi is {pairing}")
+    return [(dims[lam] * chi, rho(lam)) for lam, chi in column.items()]
 
 
 def count_spectral(mu, k, table=None):

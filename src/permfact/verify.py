@@ -13,7 +13,8 @@ from math import comb, factorial
 
 from . import oracle, transition, symfun
 from .characters import (build_character_table, bst_signed_count,
-                         dimension_offenders, mn_character, BST_MAX_N)
+                         character_column, dimension_offenders, mn_character,
+                         BST_MAX_N)
 from .counting import count_spectral, count_goulden, count_two_cycle
 from .partitions import (enumerate_partitions, conjugate, class_size, rho,
                          z_value, parity_census)
@@ -103,10 +104,13 @@ def check_character_table(n_max=10):
     Rows a <= b are orthogonal, sum_nu chi_a(nu) chi_b(nu) / z_nu =
     delta(a, b), checked in integers after scaling by n!."""
     for n in range(1, n_max + 1):
-        table = build_character_table(n)
-        index = table.index
-        for lam in dimension_offenders(index, [r[0] for r in table.values]):
+        # before the build, which raises on a dimension the hook formula
+        # rejects; the strip memo makes the build's own pass lookups
+        index = enumerate_partitions(n)
+        dims = [mn_character(lam, (1,) * n) for lam in index]
+        for lam in dimension_offenders(index, dims):
             return _result("character-table", False, f"dimension at {lam}")
+        table = build_character_table(n)
         nfact = factorial(n)
         weights = [nfact // z_value(nu) for nu in index]
         for a, row_a in enumerate(table.values):
@@ -231,7 +235,9 @@ def check_mass_conservation(n_max=7, k_max=10):
 
 def check_dual_bases(n_max=10):
     """sum_lam chi^lam(mu) chi^lam(nu) = z_mu delta(mu, nu), the power-sum
-    side of the Hall pairing; character-table checks the Schur side."""
+    side of the Hall pairing; character-table checks the Schur side. Each
+    column must also equal character_column's, the route count_spectral
+    takes, on its support and be zero off it."""
     for n in range(1, n_max + 1):
         table = build_character_table(n)
         parts = table.index.ordered
@@ -242,6 +248,11 @@ def check_dual_bases(n_max=10):
                 if dot != (z_value(parts[a]) if a == b else 0):
                     return _result("dual-bases", False,
                                    f"({parts[a]}, {parts[b]})")
+        for nu, column in zip(parts, columns):
+            support = {lam: x for lam, x in zip(parts, column) if x}
+            if character_column(nu) != support:
+                return _result("dual-bases", False,
+                               f"strip addition at column {nu}")
     return _result("dual-bases", True, f"n <= {n_max}")
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from permfact.characters import (mn_character, enumerate_bst,
                                  bst_signed_count, dimension_hook_formula,
-                                 build_character_table,
+                                 build_character_table, character_column,
                                  character_table_cached, save_table,
                                  load_table)
 from permfact.partitions import enumerate_partitions, conjugate, z_value
@@ -101,6 +101,15 @@ def test_first_column_and_burnside():
         for pos, lam in enumerate(index):
             assert table.values[pos][0] == dimension_hook_formula(lam)
         assert sum(row[0] ** 2 for row in table.values) == factorial(n)
+
+
+def test_character_column_is_table_support():
+    for n in range(1, 13):
+        table = build_character_table(n)
+        for at, mu in enumerate(table.index):
+            support = {lam: row[at] for lam, row
+                       in zip(table.index, table.values) if row[at]}
+            assert character_column(mu) == support, mu
 
 
 def test_orthogonality_exact():

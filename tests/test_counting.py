@@ -3,7 +3,7 @@ from math import comb, factorial
 
 import pytest
 
-from permfact import characters
+from permfact import characters, counting
 from permfact.characters import (CharacterTable, build_character_table,
                                  mn_character)
 from permfact.counting import (count_spectral, count_matrix_method,
@@ -183,10 +183,66 @@ def test_validation_errors():
 
 
 def test_column_path_checks_hook_dimensions(monkeypatch):
-    hook = characters.dimension_hook_formula
-    monkeypatch.setattr(characters, "dimension_hook_formula",
+    hook = counting.dimension_hook_formula
+    monkeypatch.setattr(counting, "dimension_hook_formula",
                         lambda lam: hook(lam) + (lam == (2, 1, 1)))
-    with pytest.raises(RuntimeError, match=r"dimension of \(2, 1, 1\)"):
-        count_spectral((3, 1), 2)
-    with pytest.raises(RuntimeError, match=r"dimension of \(2, 1, 1\)"):
+    # (2, 1, 1) is off the support of column (3, 1): the count is right
+    assert count_spectral((3, 1), 2) == 3
+    with pytest.raises(RuntimeError, match=r"column \(2, 2\) are not orth"):
+        count_spectral((2, 2), 2)
+    with pytest.raises(RuntimeError, match=r"column \(4,\) are not orth"):
         series_prefix((4,), 3)
+
+
+def _mutation_never_silent(monkeypatch, target, name, mutant):
+    """Every count at n <= 10 under the mutant is either the true count or
+    a RuntimeError, and at least one mu raises."""
+    cases = [(mu, k) for n in range(1, 11) for mu in enumerate_partitions(n)
+             for k in (n - len(mu), n - len(mu) + 2)]
+    truth = [count_spectral(mu, k) for mu, k in cases]
+    monkeypatch.setattr(target, name, mutant)
+    raised = 0
+    for (mu, k), expect in zip(cases, truth):
+        try:
+            assert count_spectral(mu, k) == expect, (mu, k)
+        except RuntimeError:
+            raised += 1
+    assert raised
+
+
+def test_walk_with_flipped_height_one_sign_raises(monkeypatch):
+    slides = characters._slides
+
+    def flipped(mask, step):  # strips added with height 1 count as even
+        for larger, height in slides(mask, step):
+            yield larger, height + (step > 0 and height == 1)
+
+    _mutation_never_silent(monkeypatch, characters, "_slides", flipped)
+    with pytest.raises(RuntimeError):
+        count_spectral((2, 2), 2)
+
+
+def test_walk_with_dropped_state_raises(monkeypatch):
+    column = characters.character_column
+
+    def dropped(mu):  # the first shape reached goes missing
+        return dict(list(column(mu).items())[1:])
+
+    _mutation_never_silent(monkeypatch, counting, "character_column", dropped)
+    with pytest.raises(RuntimeError, match=r"squared norm"):
+        count_spectral((3, 1), 2)
+
+
+def test_column_route_past_brute_force_sizes():
+    """Oracles that hold at any n, at sizes past brute force and tables."""
+    mu = (10, 8, 6, 3, 2, 1)
+    assert count_spectral(mu, 26) == count_matrix_method(mu, 26)
+    assert count_spectral((60,), 61) == count_goulden(60, 61)
+    assert count_spectral((40, 20), 60) == \
+        count_two_cycle(40, 20, 60, max_n=60)
+    # Denes: c_{n-l}(mu) = (n-l)! prod m^(m-2)/(m-1)!
+    for mu in [(30, 20, 10), (12, 9, 5, 4)]:
+        minimal = Fraction(factorial(sum(mu) - len(mu)))
+        for m in mu:
+            minimal *= Fraction(m ** (m - 2), factorial(m - 1))
+        assert count_spectral(mu, sum(mu) - len(mu)) == minimal

@@ -1,6 +1,6 @@
 from bisect import insort
 
-from permfact import verify
+from permfact import characters, verify
 from permfact.cli import main
 from permfact.characters import CharacterTable, build_character_table
 from permfact.verify import run_battery, check_dstar, check_two_cycle
@@ -59,3 +59,23 @@ def test_orthogonality_fault_is_reported(monkeypatch):
     assert (r.status, r.detail) == ("FAIL", "orthogonality at n=4 (0,1)")
     r = verify.check_dual_bases(n_max=5)
     assert (r.status, r.detail) == ("FAIL", "((1, 1, 1, 1), (2, 2))")
+
+
+def test_mutated_strip_walk_fails_dual_bases(monkeypatch):
+    slides = characters._slides
+
+    def flipped(mask, step):  # strips added with height 1 count as even
+        for larger, height in slides(mask, step):
+            yield larger, height + (step > 0 and height == 1)
+
+    monkeypatch.setattr(characters, "_slides", flipped)
+    r = verify.check_dual_bases(n_max=5)
+    assert (r.status, r.detail) == ("FAIL", "strip addition at column (2,)")
+
+
+def test_dimension_fault_is_reported(monkeypatch):
+    hook = characters.dimension_hook_formula
+    monkeypatch.setattr(characters, "dimension_hook_formula",
+                        lambda lam: hook(lam) + (lam == (2, 1, 1)))
+    r = verify.check_character_table(n_max=5)
+    assert (r.status, r.detail) == ("FAIL", "dimension at (2, 1, 1)")
