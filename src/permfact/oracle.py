@@ -5,8 +5,12 @@ come from dynamic programming over all n! group elements, or from
 literal enumeration of transposition tuples. Permutations are tuples
 of images in one-line notation on {0, ..., n-1}, composed as
 (p * q)(x) = p(q(x)).
+
+count_brute walks S_n once per n, up to BRUTE_MAX_K, and keeps only
+the counts at one element of each cycle type.
 """
 
+from functools import cache
 from itertools import permutations as _all_perms, product as _product
 
 BRUTE_MAX_N = 7
@@ -98,8 +102,20 @@ def count_brute(mu, k):
         raise ValueError("k must be nonnegative")
     if k > BRUTE_MAX_K:
         raise ValueError(f"brute-force ceiling is k <= {BRUTE_MAX_K}, got k={k}")
-    _, index, vecs = walk_distributions(n, k)
-    return vecs[k][index[class_representative(mu)]]
+    return _class_counts(n)[cycle_type(class_representative(mu))][k]
+
+
+@cache
+def _class_counts(n):
+    """{cycle type: (count at k = 0, ..., BRUTE_MAX_K)} at the first element
+    of each class in one walk of S_n; the walk itself is not kept."""
+    elements, _, vecs = walk_distributions(n, BRUTE_MAX_K)
+    out = {}
+    for i, g in enumerate(elements):
+        ct = cycle_type(g)
+        if ct not in out:
+            out[ct] = tuple(v[i] for v in vecs)
+    return out
 
 
 def count_tuples(mu, k):
@@ -124,14 +140,14 @@ def verify_cut_glue(n):
     when i and j share a cycle, and glues two cycles otherwise."""
     if n > CUT_GLUE_MAX_N:
         raise ValueError(f"cut/glue check capped at n <= {CUT_GLUE_MAX_N}")
-    taus = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    # transpositions(n) lists (i j) in this same order
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    taus = list(zip(pairs, transpositions(n)))
     for alpha in _all_perms(range(n)):
         ct = cycle_type(alpha)
-        for i, j in taus:
+        for (i, j), t in taus:
             same = _same_cycle(alpha, i, j)
-            t = list(range(n))
-            t[i], t[j] = t[j], t[i]
-            after = len(cycle_type(compose(tuple(t), alpha)))
+            after = len(cycle_type(compose(t, alpha)))
             if same and after != len(ct) + 1:
                 return False
             if not same and after != len(ct) - 1:

@@ -7,6 +7,7 @@ tuples, so 1^n comes first and (n) last.
 
 from functools import lru_cache
 from math import factorial
+import operator
 from collections import Counter
 
 DEFAULT_MAX_N = 20  # the default of --max-n and of count_two_cycle's ceiling
@@ -96,8 +97,19 @@ def rho(lam):
     """Sum of contents (column - row) over the cells of lam.
 
     Computed two ways, from the part lengths and cell by cell; the two
-    must agree or the implementation is broken.
+    must agree or the implementation is broken. Memoized, so each
+    distinct shape is checked once.
     """
+    lam = lam if type(lam) is tuple else tuple(lam)
+    for p in lam:  # a float part must not hit the entry of an equal int
+        operator.index(p)
+    return _rho(lam)
+
+
+# every shape of any one n <= 15 (176 at n = 15); keys are the callers'
+# own tuples, so the memo allocates no copies
+@lru_cache(maxsize=256)
+def _rho(lam):
     twice = sum(p * (p - 2 * i - 1) for i, p in enumerate(lam))
     if twice % 2 != 0:
         raise RuntimeError(f"odd doubled content sum for {lam}")

@@ -1,8 +1,11 @@
 """Exact symmetric polynomials and the squared-degree differential operator.
 
-Polynomials live in a fixed number of variables N with Fraction
-coefficients, stored as exponent-tuple -> coefficient maps. The
-operator
+Polynomials live in a fixed number of variables N, stored as
+exponent-tuple -> coefficient maps. Coefficients are kept as given:
+power sums, Schur polynomials and the operator's images are integer
+polynomials, so they hold ints. Fraction appears only where values are
+rational: power-sum coordinates and the solve that finds them, and
+evaluation at a point. The operator
 
     D f = sum_i x_i^2 d^2f/dx_i^2
         + sum_{i != j} (x_i^2 df/dx_i - x_j^2 df/dx_j) / (x_i - x_j)
@@ -15,13 +18,17 @@ The divided differences are computed by exact polynomial division.
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from math import factorial
+from operator import add
 
-from .partitions import enumerate_partitions, check_partition, z_value
+from .partitions import (enumerate_partitions, check_partition, class_size,
+                         z_value)
 from .characters import build_character_table
 
 
 class Poly:
-    """Multivariate polynomial over the rationals in N variables."""
+    """Multivariate polynomial in N variables; coefficients are ints or
+    Fractions, stored as given, zeros dropped."""
 
     __slots__ = ("N", "terms")
 
@@ -29,20 +36,19 @@ class Poly:
         self.N = N
         self.terms = {}
         if terms:
-            for exps, coeff in terms.items():
-                c = Fraction(coeff)
+            for exps, c in terms.items():
                 if c:
                     self.terms[tuple(exps)] = c
 
     @classmethod
     def constant(cls, N, value):
-        return cls(N, {(0,) * N: Fraction(value)})
+        return cls(N, {(0,) * N: value})
 
     @classmethod
     def variable(cls, N, i, power=1):
         exps = [0] * N
         exps[i] = power
-        return cls(N, {tuple(exps): Fraction(1)})
+        return cls(N, {tuple(exps): 1})
 
     def __bool__(self):
         return bool(self.terms)
@@ -68,7 +74,7 @@ class Poly:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
@@ -77,7 +83,6 @@ class Poly:
         return Poly(self.N, out)
 
     def scale(self, value):
-        value = Fraction(value)
         return Poly(self.N, {e: c * value for e, c in self.terms.items()})
 
     def diff(self, i):
@@ -141,7 +146,7 @@ def complete_homogeneous(n, N):
         e = [0] * N
         for i in combo:
             e[i] += 1
-        out[tuple(e)] = Fraction(1)
+        out[tuple(e)] = 1
     return Poly(N, out)
 
 
@@ -152,22 +157,33 @@ def elementary(n, N):
         e = [0] * N
         for i in combo:
             e[i] = 1
-        out[tuple(e)] = Fraction(1)
+        out[tuple(e)] = 1
     return Poly(N, out)
 
 
 def schur_from_characters(lam, N, table=None):
-    """s_lam = sum_nu chi^lam(nu) p_nu / z_nu. Coefficients must come out
-    as nonnegative integers; anything else flags a broken table."""
+    """s_lam = sum_nu chi^lam(nu) p_nu / z_nu, summed in integers as
+    sum_nu chi^lam(nu) (n!/z_nu) p_nu and divided exactly by n!.
+    Coefficients must come out as nonnegative integers; anything else
+    flags a broken table."""
+    lam = check_partition(lam)
+    n = sum(lam)
+    if table is None:
+        table = build_character_table(n)
     out = Poly(N)
-    for nu, c in schur_p_coords(lam, table=table).items():
-        if c:
-            out = out + expand_p(nu, N).scale(c)
+    for nu in table.index:
+        chi = table.value(lam, nu)
+        if chi:
+            out = out + expand_p(nu, N).scale(chi * class_size(nu))
+    nfact = factorial(n)
+    terms = {}
     for exps, c in out.terms.items():
-        if c.denominator != 1 or c < 0:
+        q, rest = divmod(c, nfact)
+        if rest or q < 0:
             raise RuntimeError(f"non-integer or negative Schur coefficient "
-                               f"{c} at {exps} for {lam}")
-    return out
+                               f"{Fraction(c, nfact)} at {exps} for {lam}")
+        terms[exps] = q
+    return Poly(N, terms)
 
 
 def _divide_by_difference(g, i, j):
@@ -216,8 +232,11 @@ def p_basis_coords(f, n, N):
                          f"(got N={N}, n={n})")
     index = enumerate_partitions(n)
     expansions = [expand_p(lam, N) for lam in index]
-    monomials = sorted(set().union(*(p.terms for p in expansions),
-                                   f.terms))
+    # a symmetric f is fixed by its coefficients on monomials with weakly
+    # decreasing exponents; the reconstruction below checks every other one
+    monomials = sorted(mono for mono in set().union(
+        *(p.terms for p in expansions), f.terms)
+        if all(a >= b for a, b in zip(mono, mono[1:])))
     rows = [[p.terms.get(mono, Fraction(0)) for p in expansions]
             for mono in monomials]
     rhs = [f.terms.get(mono, Fraction(0)) for mono in monomials]

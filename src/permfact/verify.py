@@ -148,10 +148,10 @@ def check_mn_vs_tableaux(n_max=6):
 def check_mn_order_invariance(n_max=7):
     for n in range(2, n_max + 1):
         index = enumerate_partitions(n)
+        orders = [set(_perms(mu)) for mu in index]
         for lam in index:
-            for mu in index:
-                vals = {mn_character(lam, order)
-                        for order in set(_perms(mu))}
+            for mu, mu_orders in zip(index, orders):
+                vals = {mn_character(lam, order) for order in mu_orders}
                 if len(vals) != 1:
                     return _result("strip-order-invariance", False,
                                    f"({lam}, {mu})")
@@ -174,11 +174,10 @@ def check_counts_agree(n_max=8, k_max=16, brute_n_max=5, brute_k_max=6):
                                        f"(n={n}, mu={mu}, k={k})")
                 v = transition.matrix_power_apply(mat, 1, v)
         if n <= brute_n_max:
-            _, idx, vecs = oracle.walk_distributions(n, brute_k_max)
             for mu in index:
-                gi = idx[oracle.class_representative(mu)]
                 for k in range(brute_k_max + 1):
-                    if vecs[k][gi] != count_spectral(mu, k, table=table):
+                    if oracle.count_brute(mu, k) != \
+                            count_spectral(mu, k, table=table):
                         return _result("spectral-vs-matrix", False,
                                        f"brute (n={n}, mu={mu}, k={k})")
     return _result("spectral-vs-matrix", True,

@@ -1,15 +1,21 @@
+import io
+import json
+from contextlib import redirect_stdout
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from permfact import characters, counting
 from permfact.characters import (CharacterTable, build_character_table,
                                  mn_character)
+from permfact.cli import main
 from permfact.counting import (count_spectral, count_matrix_method,
                                count_goulden, count_two_cycle,
                                two_cycle_terms, series_prefix)
-from permfact.oracle import count_brute, count_tuples
+from permfact.oracle import (count_brute, count_tuples, TUPLE_MAX_K,
+                             TUPLE_MAX_N)
 from permfact.partitions import enumerate_partitions, class_size, rho
 
 
@@ -38,6 +44,40 @@ def test_three_way_agreement_small():
                 s = count_spectral(mu, k, table=table)
                 assert s == count_matrix_method(mu, k)
                 assert s == count_brute(mu, k)
+
+
+@st.composite
+def _query(draw):
+    n = draw(st.integers(min_value=1, max_value=7))
+    mu = draw(st.sampled_from(enumerate_partitions(n).ordered))
+    return mu, draw(st.integers(min_value=0, max_value=10))
+
+
+# deadline=None: the first draw at n = 7 builds the walk of S_7
+@settings(max_examples=80, deadline=None)
+@given(_query())
+def test_every_route_agrees_through_api_and_cli(query):
+    mu, k = query
+    n = sum(mu)
+    values = {"spectral": count_spectral(mu, k), "brute": count_brute(mu, k)}
+    if n >= 2:
+        values["matrix"] = count_matrix_method(mu, k)
+    if len(mu) == 1:
+        values["goulden"] = count_goulden(n, k)
+    if len(mu) == 2:
+        values["two-cycle"] = count_two_cycle(mu[0], mu[1], k)
+    if n <= TUPLE_MAX_N and k <= TUPLE_MAX_K:
+        values["tuples"] = count_tuples(mu, k)
+    assert len(set(values.values())) == 1, values
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["count", "--mu", ",".join(map(str, mu)), "--k", str(k),
+                     "--format", "json"])
+    assert code == 0
+    payload = json.loads(out.getvalue())
+    assert (payload["n"], tuple(payload["mu"]), payload["k"]) == (n, mu, k)
+    values.pop("tuples", None)  # the CLI has no tuple route
+    assert payload["counts"] == {m: str(v) for m, v in values.items()}
 
 
 def test_tuple_enumeration_spot_check():

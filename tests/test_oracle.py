@@ -2,10 +2,11 @@ from math import comb
 
 import pytest
 
+from permfact import oracle
 from permfact.oracle import (identity, cycle_type, transpositions,
                              class_representative, walk_distributions,
                              count_brute, count_tuples, verify_cut_glue,
-                             verify_class_invariance)
+                             verify_class_invariance, BRUTE_MAX_K)
 from permfact.partitions import enumerate_partitions
 
 
@@ -39,6 +40,61 @@ def test_count_brute_ceilings():
         count_brute((8,) , 2)
     with pytest.raises(ValueError):
         count_brute((3,), 99)
+
+
+def test_count_brute_matches_a_fresh_walk():
+    for n, kmax in [(n, BRUTE_MAX_K) for n in range(1, 7)] + [(7, 7)]:
+        _, index, vecs = walk_distributions(n, kmax)
+        for mu in enumerate_partitions(n):
+            g = index[class_representative(mu)]
+            for k in range(kmax + 1):
+                assert count_brute(mu, k) == vecs[k][g], (mu, k)
+
+
+def test_count_brute_takes_parts_in_any_order():
+    _, index, vecs = walk_distributions(6, 8)
+    for mu in ((1, 2, 3), (2, 1, 3), (1, 1, 4), (2, 4), (1, 2, 1, 2)):
+        g = index[class_representative(mu)]
+        for k in range(9):
+            assert count_brute(mu, k) == vecs[k][g]
+            assert count_brute(mu, k) == \
+                count_brute(tuple(sorted(mu, reverse=True)), k)
+
+
+def test_count_brute_errors(monkeypatch):
+    def no_walk(n, kmax):
+        raise AssertionError("walk built for a rejected query")
+
+    monkeypatch.setattr(oracle, "walk_distributions", no_walk)
+    monkeypatch.setattr(oracle, "_class_counts",
+                        oracle._class_counts.__wrapped__)
+    for mu, k, message in (((8,), 2, "n <= 7, got n=8"),
+                           ((4, 4), 0, "n <= 7, got n=8"),
+                           ((3,), 17, "k <= 16, got k=17"),
+                           ((3,), -1, "nonnegative")):
+        with pytest.raises(ValueError, match=message):
+            count_brute(mu, k)
+
+
+def test_one_walk_per_n(monkeypatch):
+    calls = []
+    real = oracle.walk_distributions
+
+    def counted(n, kmax):
+        calls.append((n, kmax))
+        return real(n, kmax)
+
+    monkeypatch.setattr(oracle, "walk_distributions", counted)
+    oracle._class_counts.cache_clear()
+    for n in (3, 5, 3, 6, 5, 6):
+        for mu in enumerate_partitions(n):
+            for k in (BRUTE_MAX_K, 0, 7):
+                count_brute(mu, k)
+    assert calls == [(3, BRUTE_MAX_K), (5, BRUTE_MAX_K), (6, BRUTE_MAX_K)]
+    # the memo keeps one row of counts per cycle type, not the walk
+    memo = oracle._class_counts(6)
+    assert sorted(memo) == sorted(enumerate_partitions(6))
+    assert all(len(row) == BRUTE_MAX_K + 1 for row in memo.values())
 
 
 def test_tuple_enumeration_matches_dp():

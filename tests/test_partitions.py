@@ -5,6 +5,7 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, strategies as st
 
+from permfact import partitions
 from permfact.partitions import (enumerate_partitions, conjugate, z_value,
                                  class_size, rho, hook_lengths, parity_census,
                                  check_partition, PartitionIndex)
@@ -86,6 +87,31 @@ def test_rho_examples():
     assert rho((4,)) == 6
     assert rho((1, 1, 1, 1)) == -6
     assert rho((2, 1)) == 0
+
+
+def test_rho_accepts_the_same_sequences():
+    def by_cells(parts):
+        return sum(c - r for r, p in enumerate(parts) for c in range(p))
+
+    for parts in ((4,), [3, 1], [2, 2, 1], (True,), (True, True), [2, 0],
+                  (1, 2), (), range(3, 0, -1)):
+        assert rho(parts) == by_cells(parts), parts
+    assert rho([3, 1]) == rho((3, 1)) == 2
+    # a cached int shape does not answer for equal float parts
+    assert rho((2,)) == 1
+    with pytest.raises(TypeError):
+        rho((2.0,))
+    with pytest.raises(RuntimeError):
+        rho((-1,))
+
+
+def test_rho_checks_each_shape_once():
+    lam = (9, 7, 7, 2, 1, 1)
+    rho(lam)
+    before = partitions._rho.cache_info()
+    assert rho(list(lam)) == rho(lam) == rho(lam[:-1] + (True,))
+    after = partitions._rho.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (3, 0)
 
 
 def test_rho_hook_closed_form():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from permfact.characters import build_character_table
+from permfact.characters import CharacterTable, build_character_table
 from permfact.partitions import enumerate_partitions, conjugate, rho, z_value
 from permfact.symfun import (Poly, power_sum, expand_p, complete_homogeneous,
                              elementary, schur_from_characters, is_symmetric,
@@ -54,6 +54,46 @@ def test_schur_polynomials():
     assert s21.terms[(1, 1, 1)] == 2
 
 
+def _ints_only(f):
+    return all(type(c) is int for c in f.terms.values())
+
+
+def test_integer_polynomials_hold_ints():
+    for n in range(1, 5):
+        table = build_character_table(n)
+        N = n + 1
+        for lam in enumerate_partitions(n):
+            assert _ints_only(expand_p(lam, N))
+            assert _ints_only(apply_dstar(expand_p(lam, N)))
+            s = schur_from_characters(lam, N, table=table)
+            assert _ints_only(s) and _ints_only(apply_dstar(s))
+
+
+def test_schur_rejects_one_changed_table_value():
+    # the first column is the hook formula, which CharacterTable checks
+    for n in (3, 4):
+        table = build_character_table(n)
+        N = n + 1
+        for r, lam in enumerate(table.index):
+            for c in range(1, len(table.index)):
+                for delta in (1, -1):
+                    values = [list(row) for row in table.values]
+                    values[r][c] += delta
+                    changed = CharacterTable(table.index, values)
+                    with pytest.raises(RuntimeError, match="Schur coefficient"):
+                        schur_from_characters(lam, N, table=changed)
+
+
+def test_fraction_coefficients_compare_equal():
+    assert Poly(3, {(1, 0, 0): Fraction(1)}) == Poly.variable(3, 0)
+    assert Poly(2, {(1, 0): Fraction(0)}) == Poly(2)
+    half = expand_p((1, 1), 2).scale(Fraction(1, 2))
+    assert half.terms == {(2, 0): Fraction(1, 2), (1, 1): 1,
+                          (0, 2): Fraction(1, 2)}
+    assert half.scale(2) == expand_p((1, 1), 2)
+    assert Poly.constant(2, Fraction(3)) == Poly.constant(2, 3)
+
+
 def test_schur_eigenfunctions():
     for n in range(1, 5):
         table = build_character_table(n)
@@ -93,6 +133,17 @@ def test_matrix_of_dstar_matches_transition(dense):
 def test_p_basis_requires_enough_variables():
     with pytest.raises(ValueError):
         p_basis_coords(power_sum(3, 3), 3, 3)
+
+
+def test_p_basis_rejects_what_power_sums_cannot_reproduce():
+    # the solve reads only monomials with weakly decreasing exponents;
+    # the reconstruction must catch a fault anywhere else
+    with pytest.raises(RuntimeError):
+        p_basis_coords(Poly.variable(4, 0, 3), 3, 4)
+    with pytest.raises(RuntimeError):
+        p_basis_coords(power_sum(3, 4) + Poly.variable(4, 3, 3), 3, 4)
+    with pytest.raises(RuntimeError):
+        p_basis_coords(power_sum(2, 4), 3, 4)
 
 
 def test_p_basis_roundtrip():
