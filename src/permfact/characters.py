@@ -8,9 +8,6 @@ signed tableaux one by one from the raw definition and exists to keep
 the recursion honest. Dimensions come from hook lengths as a third route.
 """
 
-import json
-import os
-import sys
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
@@ -204,15 +201,14 @@ def dimension_hook_formula(lam):
     prod = 1
     for h in hook_lengths(lam):
         prod *= h
-    if factorial(n) % prod != 0:
+    dim, rest = divmod(factorial(n), prod)
+    if rest:
         raise RuntimeError(f"hook product {prod} does not divide {n}!")
-    return factorial(n) // prod
+    return dim
 
 
 class CharacterTable:
     """chi^lam(nu) for all lam, nu in P(n), canonical order both ways."""
-
-    SCHEMA_VERSION = 2
 
     def __init__(self, index, values):
         values = tuple(tuple(row) for row in values)
@@ -265,99 +261,3 @@ def require_hook_dimensions(index, dims):
     if bad:
         raise RuntimeError(f"strip recursion and hook formula disagree "
                            f"on the dimension of {bad[0]}")
-
-
-# ---------------------------------------------------------------------------
-# on-disk cache
-
-
-def cache_path(cache_dir, n):
-    return f"{cache_dir}/chartable_n{n}.json"
-
-
-def _values_digest(rows):
-    """sha256 of a table's value strings in row-major order. No string
-    int() accepts holds ',' or ';', so the joined text is unambiguous."""
-    import hashlib  # off the import path of every CLI run, like tempfile
-    digest = hashlib.sha256()
-    for row in rows:  # row by row: the table's text is never held whole
-        digest.update(f"{','.join(row)};".encode())
-    return digest.hexdigest()
-
-
-def save_table(table, path):
-    values = [[str(v) for v in row] for row in table.values]
-    payload = {
-        "schema_version": CharacterTable.SCHEMA_VERSION,
-        "n": table.n,
-        "partitions": [list(lam) for lam in table.index],
-        "values": values,
-        "values_sha256": _values_digest(values),
-    }
-    # a temporary file renamed into place: readers never see a torn table;
-    # tempfile is imported here, off the import path of every CLI run
-    import tempfile
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
-                               prefix=".chartable-", suffix=".tmp")
-    try:
-        # mkstemp makes the file 0600; give it the mode open() would have
-        umask = os.umask(0)
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
-def load_table(path, n):
-    """Read a cached table. Raises ValueError or TypeError for anything
-    save_table would not have written for a correct table."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict):
-        raise ValueError("cache payload is not a JSON object")
-    if payload.get("schema_version") != CharacterTable.SCHEMA_VERSION:
-        raise ValueError("unsupported cache schema")
-    if payload.get("n") != n:
-        raise ValueError("cache is for a different n")
-    index = enumerate_partitions(n)
-    if [list(lam) for lam in index] != payload["partitions"]:
-        raise ValueError("cache partition order mismatch")
-    # with an explicit base int() parses strings only, so a value written
-    # as a JSON number raises TypeError instead of being truncated
-    table = CharacterTable(
-        index, [[int(v, 10) for v in row] for row in payload["values"]])
-    if payload.get("values_sha256") != _values_digest(payload["values"]):
-        raise ValueError("cache values do not match their digest")
-    return table
-
-
-def character_table_cached(n, cache_dir=None):
-    """Build the table, reading/writing the versioned cache when a
-    directory is given. A corrupt cache is ignored and rebuilt; a cache
-    file that cannot be read or replaced is a ValueError."""
-    if cache_dir is None:
-        return build_character_table(n)
-    try:
-        os.makedirs(cache_dir, exist_ok=True)
-    except OSError as exc:  # a file, or a path we may not create
-        raise ValueError(f"unusable cache directory: {exc}") from None
-    path = cache_path(cache_dir, n)
-    if os.path.exists(path):
-        try:
-            return load_table(path, n)
-        except OSError as exc:  # a directory, or a file we may not read
-            raise ValueError(f"unusable cache {path}: {exc}") from None
-        except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-            print(f"warning: ignoring corrupt cache {path}: {exc}",
-                  file=sys.stderr)
-    table = build_character_table(n)
-    try:
-        save_table(table, path)
-    except OSError as exc:
-        raise ValueError(f"unusable cache {path}: {exc}") from None
-    return table

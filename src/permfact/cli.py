@@ -6,11 +6,10 @@ fails, 2 on usage errors.
 """
 
 import argparse
-import os
 import sys
 
 from . import serialize
-from .characters import character_table_cached
+from .characters import build_character_table
 from .counting import (count_spectral, count_matrix_method, count_goulden,
                        count_two_cycle, series_prefix)
 from .oracle import count_brute, BRUTE_MAX_N, BRUTE_MAX_K
@@ -120,8 +119,7 @@ def cmd_matrix(args, out):
 
 
 def cmd_chartable(args, out):
-    cache_dir = args.cache_dir or os.environ.get("PERMFACT_CACHE_DIR") or None
-    table = character_table_cached(_ceiling(args, args.n), cache_dir=cache_dir)
+    table = build_character_table(_ceiling(args, args.n))
     if args.format == "json":
         out.write(serialize.chartable_json(table))
     elif args.format == "csv":
@@ -192,8 +190,8 @@ def build_parser():
                        default="text")
         if cache:
             p.add_argument("--cache-dir", default=None,
-                           help="character table cache directory (or "
-                                "PERMFACT_CACHE_DIR); only chartable reads it")
+                           help="ignored; accepted so that older command "
+                                "lines still run")
         if mu:
             p.add_argument("--mu", required=True,
                            help="cycle type, comma-separated parts")
@@ -218,7 +216,7 @@ def build_parser():
     p.set_defaults(func=cmd_matrix)
 
     p = sub.add_parser("chartable", help="emit the character table")
-    common(p, cache=True)
+    common(p)
     p.set_defaults(func=cmd_chartable)
 
     p = sub.add_parser("series", help="generating function coefficients c_k/k!")

@@ -15,7 +15,8 @@ from . import oracle, transition, symfun
 from .characters import (build_character_table, bst_signed_count,
                          character_column, dimension_offenders, mn_character,
                          BST_MAX_N)
-from .counting import count_spectral, count_goulden, count_two_cycle
+from .counting import (count_spectral, count_goulden, count_two_cycle,
+                       _expansion, _spectral_terms)
 from .partitions import (enumerate_partitions, conjugate, class_size, rho,
                          z_value, parity_census)
 
@@ -162,6 +163,9 @@ def check_counts_agree(n_max=8, k_max=16, brute_n_max=5, brute_k_max=6):
     for n in range(1, n_max + 1):
         table = build_character_table(n)
         index = table.index
+        # count_spectral(mu, k, table=table) for every k, from one set of
+        # (weight, eigenvalue) pairs per mu
+        terms = [_spectral_terms(mu, table) for mu in index]
         if n >= 2:
             mat = transition.build_transition_matrix(n)
             e = [0] * len(index)
@@ -169,15 +173,14 @@ def check_counts_agree(n_max=8, k_max=16, brute_n_max=5, brute_k_max=6):
             v = e
             for k in range(k_max + 1):
                 for pos, mu in enumerate(index):
-                    if count_spectral(mu, k, table=table) != v[pos]:
+                    if _expansion(terms[pos], k, n) != v[pos]:
                         return _result("spectral-vs-matrix", False,
                                        f"(n={n}, mu={mu}, k={k})")
                 v = transition.matrix_power_apply(mat, 1, v)
         if n <= brute_n_max:
-            for mu in index:
+            for mu, pairs in zip(index, terms):
                 for k in range(brute_k_max + 1):
-                    if oracle.count_brute(mu, k) != \
-                            count_spectral(mu, k, table=table):
+                    if oracle.count_brute(mu, k) != _expansion(pairs, k, n):
                         return _result("spectral-vs-matrix", False,
                                        f"brute (n={n}, mu={mu}, k={k})")
     return _result("spectral-vs-matrix", True,

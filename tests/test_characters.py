@@ -1,5 +1,3 @@
-import json
-import os
 from fractions import Fraction
 from math import comb, factorial
 
@@ -8,9 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from permfact.characters import (mn_character, enumerate_bst,
                                  bst_signed_count, dimension_hook_formula,
-                                 build_character_table, character_column,
-                                 character_table_cached, save_table,
-                                 load_table)
+                                 build_character_table, character_column)
 from permfact.partitions import enumerate_partitions, conjugate, z_value
 
 
@@ -146,57 +142,6 @@ def test_mn_order_invariance(data):
     mu = data.draw(st.sampled_from(index.ordered))
     shuffled = data.draw(st.permutations(mu))
     assert mn_character(lam, tuple(shuffled)) == mn_character(lam, mu)
-
-
-def test_cache_roundtrip(tmp_path):
-    table = build_character_table(6)
-    path = tmp_path / "chartable_n6.json"
-    save_table(table, str(path))
-    loaded = load_table(str(path), 6)
-    assert loaded.values == table.values
-    assert loaded.n == 6
-
-
-def test_cache_corruption_recovers(tmp_path, capsys):
-    t1 = character_table_cached(5, cache_dir=str(tmp_path))
-    cache_file = tmp_path / "chartable_n5.json"
-    assert cache_file.exists()
-    cache_file.write_text("{not json")
-    t2 = character_table_cached(5, cache_dir=str(tmp_path))
-    assert t2.values == t1.values
-    assert "corrupt" in capsys.readouterr().err
-    # cache was rewritten and is valid again
-    payload = json.loads(cache_file.read_text())
-    assert payload["schema_version"] == 2
-
-
-def test_cache_write_is_atomic(tmp_path, monkeypatch):
-    path = tmp_path / "chartable_n4.json"
-    umask = os.umask(0o022)
-    try:
-        save_table(build_character_table(4), str(path))
-    finally:
-        os.umask(umask)
-    assert path.stat().st_mode & 0o777 == 0o644
-    before = path.read_text()
-
-    def torn_dump(payload, fh, **kwargs):
-        fh.write('{"schema_version": 1, ')
-        raise OSError("disk full")
-
-    monkeypatch.setattr(json, "dump", torn_dump)
-    with pytest.raises(OSError):
-        save_table(build_character_table(4), str(path))
-    assert path.read_text() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["chartable_n4.json"]
-
-
-def test_cache_wrong_n_rejected(tmp_path):
-    table = build_character_table(4)
-    path = tmp_path / "t.json"
-    save_table(table, str(path))
-    with pytest.raises(ValueError):
-        load_table(str(path), 5)
 
 
 def test_dual_basis_pairing():

@@ -9,7 +9,7 @@ import pytest
 
 import permfact
 from permfact import characters, serialize
-from permfact.characters import _values_digest, build_character_table
+from permfact.characters import build_character_table
 from permfact.cli import main, build_parser
 from permfact.partitions import enumerate_partitions, rho
 from permfact.transition import build_transition_matrix
@@ -78,10 +78,10 @@ def test_max_n_override_raises_ceiling(capsys):
 
 
 def test_max_n_honoured_past_default_ceiling(tmp_path, capsys):
-    cache = ["--cache-dir", str(tmp_path)]  # one n = 21 table build
+    cache = ["--cache-dir", str(tmp_path)]  # accepted and ignored
     runs = {"partitions": ["partitions", "--n", "21"],
             "matrix": ["matrix", "--n", "21", "--format", "csv"],
-            "chartable": ["chartable", "--n", "21", "--format", "csv"] + cache,
+            "chartable": ["chartable", "--n", "21", "--format", "csv"],
             "count": ["count", "--mu", "11,10", "--k", "3"] + cache,
             "series": ["series", "--mu", "11,10", "--terms", "4"] + cache}
     outs = {}
@@ -96,13 +96,6 @@ def test_max_n_honoured_past_default_ceiling(tmp_path, capsys):
         f"c_3(11+10) [{m}] = 0" for m in ("spectral", "matrix", "two-cycle")
     ] + ["MATCH"]
     assert outs["series"].startswith("f_11+10 coefficients: 0, 0, 0, 0\n")
-
-
-def test_cache_dir_env_var(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("PERMFACT_CACHE_DIR", str(tmp_path))
-    code, _, _ = run_cli(["chartable", "--n", "4"], capsys)
-    assert code == 0
-    assert (tmp_path / "chartable_n4.json").exists()
 
 
 def test_mu_parsing_any_order(capsys):
@@ -141,7 +134,8 @@ def test_usage_errors_exit_2(capsys):
                  ["count", "--mu", "3,1", "--k", "2", "--jobs", "2"],
                  ["series", "--mu", "3", "--terms", "2", "--jobs", "2"],
                  ["verify", "--jobs", too_many],
-                 ["chartable", "--n", "3", "--jobs", too_many]):
+                 ["chartable", "--n", "3", "--jobs", too_many],
+                 ["chartable", "--n", "4", "--cache-dir", "X"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
@@ -185,39 +179,21 @@ def test_matrix_eigen_json_stays_parseable(capsys):
                       2, 4, 4, 7, 8, 10, 12, 14, 20, 28]
 
 
-def test_chartable_text_and_cache(tmp_path, capsys):
-    args = ["chartable", "--n", "3", "--cache-dir", str(tmp_path)]
-    code1, out1, _ = run_cli(args, capsys)
-    code2, out2, _ = run_cli(args, capsys)
-    assert code1 == code2 == 0
-    assert out1 == out2  # byte-identical reruns
-    assert (tmp_path / "chartable_n3.json").exists()
-
-
-def test_cache_dir_that_is_a_file_is_a_usage_error(tmp_path, capsys,
-                                                   monkeypatch):
+def test_cache_dir_env_var_is_ignored(tmp_path, capsys, monkeypatch):
+    argv = ["chartable", "--n", "4"]
+    clean = run_cli(argv, capsys)
     not_a_dir = tmp_path / "file"
     not_a_dir.write_text("")
-    argv = ["chartable", "--n", "4"]
-    code, out, err = run_cli(argv + ["--cache-dir", str(not_a_dir)], capsys)
-    assert (code, out) == (2, "") and err.startswith("error: "), err
     monkeypatch.setenv("PERMFACT_CACHE_DIR", str(not_a_dir))
-    code, out, err = run_cli(argv, capsys)
-    assert (code, out) == (2, "") and err.startswith("error: "), err
-    # a directory where the cache file belongs can be neither read nor
-    # replaced
-    (tmp_path / "dir" / "chartable_n4.json").mkdir(parents=True)
-    code, out, err = run_cli(argv + ["--cache-dir", str(tmp_path / "dir")],
-                             capsys)
-    assert (code, out) == (2, "") and err.startswith("error: unusable"), err
+    assert run_cli(argv, capsys) == clean
+    assert clean[0] == 0
 
 
 def test_count_and_series_read_no_table(tmp_path, capsys, monkeypatch):
     def no_table(*args, **kwargs):
-        raise AssertionError("a full character table was built or loaded")
+        raise AssertionError("a full character table was built")
 
     monkeypatch.setattr(characters, "_table_rows", no_table)
-    monkeypatch.setattr(characters, "load_table", no_table)
     code, out, _ = run_cli(["count", "--mu", "6,5,4", "--k", "14",
                             "--cache-dir", str(tmp_path)], capsys)
     assert code == 0 and out.endswith("MATCH\n"), out
@@ -226,39 +202,6 @@ def test_count_and_series_read_no_table(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(["series", "--mu", "5,4,3,3,2,1", "--terms", "12"],
                            capsys)
     assert code == 0, out
-
-
-def test_tampered_cache_warns_and_is_rebuilt(tmp_path, capsys):
-    argv = ["chartable", "--n", "4"]
-    clean = run_cli(argv, capsys)[:2]
-    argv += ["--cache-dir", str(tmp_path)]
-    assert run_cli(argv, capsys)[:2] == clean
-    cache = tmp_path / "chartable_n4.json"
-    good = json.loads(cache.read_text())
-
-    def edited(row, col, value, reseal=True):
-        payload = json.loads(json.dumps(good))
-        payload["values"][row][col] = value
-        if reseal:  # a digest that matches, so a later check must catch it
-            payload["values_sha256"] = _values_digest(
-                [[str(v) for v in r] for r in payload["values"]])
-        return payload
-
-    # rows and columns run from 1^4 to (4); chi^(1^4)((4)) is "-1" and
-    # chi^(2,1,1)((4)) is "1"
-    as_float = edited(0, -1, 5.0)
-    wrong_dim = edited(0, 0, "5")
-    wrong_value = edited(1, -1, "2", reseal=False)
-    for payload, reason in (([], "not a JSON object"),
-                            (as_float, "non-string"),
-                            (wrong_dim, "hook length formula"),
-                            (wrong_value, "digest")):
-        cache.write_text(json.dumps(payload))
-        code, out, err = run_cli(argv, capsys)
-        assert "warning: ignoring corrupt cache" in err, payload
-        assert reason in err, err
-        assert (code, out) == clean, payload
-        assert json.loads(cache.read_text()) == good  # rewritten
 
 
 def test_chartable_row_of_ones(capsys):
@@ -349,9 +292,7 @@ def _whole_grid_output(command, n, fmt, eigen, dense):
     return "\n".join(lines) + "\n"
 
 
-def test_grid_outputs_match_whole_grid_formatters(capsys, dense,
-                                                  monkeypatch):
-    monkeypatch.delenv("PERMFACT_CACHE_DIR", raising=False)
+def test_grid_outputs_match_whole_grid_formatters(capsys, dense):
     cases = [("matrix", n, fmt, eigen) for n in range(2, 11)
              for fmt in ("text", "csv", "json") for eigen in (False, True)]
     cases += [("chartable", n, fmt, False) for n in range(1, 8)
