@@ -4,17 +4,16 @@ count_spectral evaluates the eigenvalue expansion
     c_k(mu) = (1/n!) * sum_lam chi^lam(1^n) chi^lam(mu) rho_lam^k
 exactly over the integers; the closed forms count_goulden (one cycle)
 and count_two_cycle (two cycles) are sums of the same shape, evaluated
-by the same helper. count_matrix_method powers the transition matrix
-instead. All four agree; the test suite holds them to that.
+by the same helper. count_matrix_method walks row mu of the transition
+matrix instead. All four agree; the test suite holds them to that.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .partitions import (check_partition, enumerate_partitions, rho, z_value,
-                         DEFAULT_MAX_N)
-from .transition import build_transition_matrix, matrix_power_apply
+from .partitions import check_partition, rho, z_value, DEFAULT_MAX_N
+from .transition import walk_row
 from .characters import character_column, dimension_hook_formula
 
 
@@ -58,14 +57,8 @@ def count_spectral(mu, k, table=None):
 
 
 def count_matrix_method(mu, k):
-    """c_k(mu) as the mu entry of A^k applied to the unit vector at 1^n."""
-    mu = check_partition(mu)
-    n = sum(mu)
-    index = enumerate_partitions(n)
-    matrix = build_transition_matrix(n)
-    e = [0] * len(index)
-    e[0] = 1  # canonical order starts at 1^n
-    return matrix_power_apply(matrix, k, e)[index.rank[mu]]
+    """c_k(mu) as the entry (A^k)[mu][1^n], walked from row mu of A_n."""
+    return walk_row(check_partition(mu), k)
 
 
 def count_goulden(n, k):

@@ -42,6 +42,11 @@ def transpositions(n):
 
 def cycle_type(p):
     """Cycle lengths of p, sorted descending."""
+    return tuple(sorted(_cycle_lengths(p), reverse=True))
+
+
+def _cycle_lengths(p):
+    """Cycle lengths of p, fixed points included, in order of first point."""
     seen = [False] * len(p)
     lens = []
     for i in range(len(p)):
@@ -53,7 +58,7 @@ def cycle_type(p):
                 j = p[j]
                 c += 1
             lens.append(c)
-    return tuple(sorted(lens, reverse=True))
+    return lens
 
 
 def class_representative(mu):
@@ -144,13 +149,11 @@ def verify_cut_glue(n):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     taus = list(zip(pairs, transpositions(n)))
     for alpha in _all_perms(range(n)):
-        ct = cycle_type(alpha)
+        before = len(_cycle_lengths(alpha))
         for (i, j), t in taus:
             same = _same_cycle(alpha, i, j)
-            after = len(cycle_type(compose(t, alpha)))
-            if same and after != len(ct) + 1:
-                return False
-            if not same and after != len(ct) - 1:
+            after = len(_cycle_lengths(compose(t, alpha)))
+            if after != (before + 1 if same else before - 1):
                 return False
     return True
 

@@ -66,10 +66,17 @@ def enumerate_partitions(n):
 
 
 def conjugate(lam):
-    """Transpose the Young diagram: lam'_j = #{i : lam_i >= j}."""
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p > j) for j in range(lam[0]))
+    """Transpose the Young diagram: lam'_j = #{i : lam_i >= j}.
+
+    One pointer walks the weakly decreasing parts from the end, so this
+    takes O(lam_1 + len(lam)) steps."""
+    out = []
+    rows = len(lam)  # parts >= j
+    for j in range(1, lam[0] + 1 if lam else 1):
+        while lam[rows - 1] < j:
+            rows -= 1
+        out.append(rows)
+    return tuple(out)
 
 
 def multiplicities(lam):

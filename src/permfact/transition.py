@@ -10,16 +10,18 @@ transpositions with product of type mu.
 A is held only as sparse rows: per row t, a list of the (s, A[t][s])
 pairs with A[t][s] != 0, s ascending. No p(n) x p(n) grid is ever built.
 
-The same entry is produced by closed formulas for the reverse move
-s -> t, with cycle multiplicities k_i read off the column partition s:
+Row t comes from the cut-and-join move rule on t alone, with cycle
+multiplicities k_i read off t. A transposition joins the two cycles
+holding its points, or cuts the one cycle holding both:
 
-    split m -> i + j, i != j :  i*j*(k_i+1)*(k_j+1)
-    split m -> i + i         :  i^2*(k_i+1)*(k_i+2)/2
-    glue  i + i -> m         :  i*(k_m+1)
-    glue  i + j -> m, i != j :  (i+j)*(k_m+1)
+    join i + j -> i+j, i != j :  i*j*k_i*k_j
+    join i + i -> 2i          :  i^2*k_i*(k_i-1)/2
+    cut  m -> a + (m-a)       :  m*k_m, or (m/2)*k_m when a = m-a
 
-build_raw_counts constructs the matrix the literal way instead and is
-the oracle for these formulas.
+A move changes the number of parts by exactly one, so a walk with j
+steps left can reach 1^n only from shapes s with len(s) + j >= n;
+walk_row keeps only those. build_raw_counts constructs the matrix the
+literal way instead and is the oracle for the move rule.
 """
 
 from collections import Counter
@@ -30,47 +32,74 @@ from .partitions import (enumerate_partitions, multiplicities, conjugate,
 from .oracle import class_representative, transpositions, compose, cycle_type
 
 
+def _moves(t):
+    """Row t of A_n as {s: A[t][s]}, from the move rule on t alone."""
+    k = multiplicities(t)
+    sizes = sorted(k)
+    row = {}
+    for x, i in enumerate(sizes):
+        for j in sizes[x:]:
+            if i != j:
+                w = i * j * k[i] * k[j]
+            elif k[i] > 1:
+                w = i * i * k[i] * (k[i] - 1) // 2
+            else:
+                continue
+            row[_replace(t, (i, j), (i + j,))] = w
+        for a in range(1, i // 2 + 1):
+            w = i * k[i] // 2 if 2 * a == i else i * k[i]
+            row[_replace(t, (i,), (a, i - a))] = w
+    return row
+
+
+def _replace(t, old, new):
+    """Partition t with the parts old taken out and the parts new put in."""
+    parts = list(t)
+    for p in old:
+        parts.remove(p)
+    return tuple(sorted(parts + list(new), reverse=True))
+
+
 def build_transition_matrix(n):
-    """Construct A_n from the four closed move formulas."""
+    """Construct A_n row by row from the move rule."""
     if n < 2:
         raise ValueError("transition matrix needs n >= 2")
     index = enumerate_partitions(n)
-    rows = [Counter() for _ in index]
-    for col, source in enumerate(index):
-        k = multiplicities(source)
-        base = list(source)
-        # splits of one source part m into i + (m - i)
-        for m in set(source):
-            removed = _remove_one(base, m)
-            for i in range(1, m // 2 + 1):
-                j = m - i
-                target = _canon(removed + [i, j])
-                if i == j:
-                    w = i * i * (k[i] + 1) * (k[i] + 2) // 2
-                else:
-                    w = i * j * (k[i] + 1) * (k[j] + 1)
-                rows[index.rank[target]][col] += w
-        # glues of two source parts i, j into m = i + j
-        values = sorted(set(source))
-        for a, i in enumerate(values):
-            for j in values[a:]:
-                if i == j and k[i] < 2:
-                    continue
-                m = i + j
-                target = _canon(_remove_one(_remove_one(base, i), j) + [m])
-                w = i * (k[m] + 1) if i == j else (i + j) * (k[m] + 1)
-                rows[index.rank[target]][col] += w
-    return [list(row.items()) for row in rows]  # columns came ascending
+    return [sorted((index.rank[s], w) for s, w in _moves(t).items())
+            for t in index]
 
 
-def _remove_one(parts, value):
-    out = list(parts)
-    out.remove(value)
-    return out
+def walk_row(mu, k):
+    """(A^k)[mu][1^n]: the unit row vector at mu times A_n, k times, over
+    the shapes that can still reach 1^n, read at 1^n.
 
-
-def _canon(parts):
-    return tuple(sorted(parts, reverse=True))
+    A row is made by _moves the first time the walk reaches its shape.
+    Shapes get small int ids, which hash faster than tuples."""
+    n = sum(mu)
+    if n < 2:
+        raise ValueError("transition matrix needs n >= 2")
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    shapes, ids, rows = [mu], {mu: 0}, [None]  # rows: (id, len, weight)
+    v = {0: 1} if len(mu) + k >= n else {}
+    for left in range(k - 1, -1, -1):
+        need = n - left  # shortest length that reaches 1^n in left steps
+        nxt = {}
+        for t, c in v.items():
+            row = rows[t]
+            if row is None:
+                row = rows[t] = []
+                for s, w in _moves(shapes[t]).items():
+                    if s not in ids:
+                        ids[s] = len(shapes)
+                        shapes.append(s)
+                        rows.append(None)
+                    row.append((ids[s], len(s), w))
+            for s, length, w in row:
+                if length >= need:
+                    nxt[s] = nxt.get(s, 0) + c * w
+        v = nxt
+    return v.get(ids.get((1,) * n), 0)
 
 
 def build_raw_counts(n):
@@ -90,7 +119,7 @@ def build_raw_counts(n):
 
 
 def matrix_equality_offenders(n):
-    """Entries where the formula matrix and the raw tally disagree, plus
+    """Entries where the move-rule matrix and the raw tally disagree, plus
     violations of the double-counting identity t_{ls}*|C_l| = t_{sl}*|C_s|."""
     index = enumerate_partitions(n)
     formula = [Counter(dict(row)) for row in build_transition_matrix(n)]

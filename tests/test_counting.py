@@ -17,6 +17,7 @@ from permfact.counting import (count_spectral, count_matrix_method,
 from permfact.oracle import (count_brute, count_tuples, TUPLE_MAX_K,
                              TUPLE_MAX_N)
 from permfact.partitions import enumerate_partitions, class_size, rho
+from permfact.transition import build_transition_matrix, matrix_power_apply
 
 
 def test_spectral_examples():
@@ -33,6 +34,25 @@ def test_matrix_method_examples():
     assert vec == [120, 0, 104, 108, 0]
     for mu in index:
         assert count_matrix_method(mu, 0) == (1 if mu == (1, 1, 1, 1) else 0)
+
+
+def test_matrix_walk_equals_full_power():
+    """Every mu of n <= 9 at every k <= 14, so also k below n - len(mu)
+    and k of the wrong parity, against A^k over all of P(n)."""
+    for n in range(2, 10):
+        index = enumerate_partitions(n)
+        matrix = build_transition_matrix(n)
+        e = [1] + [0] * (len(index) - 1)  # canonical order starts at 1^n
+        for k in range(15):
+            power = matrix_power_apply(matrix, k, e)
+            for mu, entry in zip(index, power):
+                assert count_matrix_method(mu, k) == entry, (mu, k)
+
+
+def test_matrix_walk_wide_band():
+    # k far past n - len(mu): nearly every shape of P(n) stays in the band
+    for mu, k in [((10, 6), 80), ((12, 8, 4), 60), ((12, 8, 4), 61)]:
+        assert count_matrix_method(mu, k) == count_spectral(mu, k)
 
 
 def test_three_way_agreement_small():
@@ -191,6 +211,10 @@ def test_mass_conservation():
 
 
 def test_validation_errors():
+    with pytest.raises(ValueError, match="n >= 2"):
+        count_matrix_method((1,), 0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        count_matrix_method((2, 1), -1)
     with pytest.raises(ValueError):
         count_spectral((3, 1), -1)
     with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from permfact import transition
 from permfact.characters import build_character_table
 from permfact.oracle import transpositions, compose, identity
 from permfact.partitions import enumerate_partitions, conjugate, rho
@@ -12,7 +13,8 @@ from permfact.transition import (build_transition_matrix, build_raw_counts,
                                  matrix_power_apply, row_sums,
                                  bipartite_offenders,
                                  zero_multiplicity_lower_bound,
-                                 eigen_mismatches, dual_eigen_mismatches)
+                                 eigen_mismatches, dual_eigen_mismatches,
+                                 walk_row, _moves)
 
 A4 = [[0, 6, 0, 0, 0],
       [1, 0, 1, 4, 0],
@@ -57,6 +59,31 @@ def test_formula_equals_raw_counts():
     for n in range(2, 11):
         assert verify_matrix_equality(n)
     assert matrix_equality_offenders(6) == []
+
+
+def test_moves_equal_raw_count_rows():
+    for n in range(2, 9):
+        index = enumerate_partitions(n)
+        for t, row in zip(index, build_raw_counts(n)):
+            assert _moves(t) == {index.ordered[s]: v for s, v in row}, t
+
+
+def test_walk_rows_stay_in_band(monkeypatch):
+    """At k = n - len(mu), and at k one larger, a join leaves no way back
+    to 1^n, so the walk makes rows only for shapes no shorter than mu."""
+    made = []
+
+    def recording(t):
+        made.append(t)
+        return _moves(t)
+
+    monkeypatch.setattr(transition, "_moves", recording)
+    for n in range(2, 10):
+        for mu in enumerate_partitions(n):
+            for k in (n - len(mu), n - len(mu) + 1):
+                made.clear()
+                walk_row(mu, k)
+                assert all(len(t) >= len(mu) for t in made), (mu, k)
 
 
 def test_raw_count_rows_sum_to_transposition_count():
@@ -141,6 +168,10 @@ def test_fault_injection_is_detected():
 def test_needs_n_at_least_2():
     with pytest.raises(ValueError):
         build_transition_matrix(1)
+    with pytest.raises(ValueError, match="n >= 2"):
+        walk_row((1,), 0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        walk_row((2,), -1)
     with pytest.raises(ValueError):
         matrix_power_apply([[]], -1, [1])
     with pytest.raises(ValueError):
