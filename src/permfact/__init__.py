@@ -1,4 +1,10 @@
-"""Exact counting of permutation factorizations into transpositions."""
+"""Exact counting of permutation factorizations into transpositions.
+
+The names of symfun and verify are loaded on first use (PEP 562), so a
+process that only counts never imports the battery.
+"""
+
+import importlib
 
 from .partitions import (enumerate_partitions, PartitionIndex, conjugate,
                          z_value, class_size, rho, hook_lengths,
@@ -14,11 +20,14 @@ from .counting import (count_spectral, count_matrix_method, count_goulden,
                        SeriesPrefix)
 from .oracle import (cycle_type, count_brute, count_tuples, verify_cut_glue,
                      verify_class_invariance)
-from .symfun import (Poly, power_sum, expand_p, schur_from_characters,
-                     apply_dstar, matrix_of_dstar, omega_on_p, schur_p_coords)
-from .verify import run_battery
 
 __version__ = "0.1.0"
+
+# served by __getattr__, with the module each name is read from
+_LAZY = {name: "symfun" for name in (
+    "Poly", "power_sum", "expand_p", "schur_from_characters", "apply_dstar",
+    "matrix_of_dstar", "omega_on_p", "schur_p_coords")}
+_LAZY["run_battery"] = "verify"
 
 __all__ = [
     "enumerate_partitions", "PartitionIndex", "conjugate", "z_value",
@@ -31,7 +40,11 @@ __all__ = [
     "count_two_cycle", "two_cycle_terms", "series_prefix", "SeriesPrefix",
     "cycle_type", "count_brute", "count_tuples", "verify_cut_glue",
     "verify_class_invariance",
-    "Poly", "power_sum", "expand_p", "schur_from_characters", "apply_dstar",
-    "matrix_of_dstar", "omega_on_p", "schur_p_coords",
-    "run_battery",
+    *_LAZY,
 ]
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)

@@ -16,6 +16,12 @@ from math import factorial
 from .partitions import enumerate_partitions, check_partition, hook_lengths
 
 BST_MAX_N = 8
+# Most shapes character_column may hold while adding one part. The
+# largest inputs measured fit: (20,15,10,8,5,3,2,1) at n = 64 peaks at
+# 439,482 and (40,30,20,10) at 224,900. (30,25,20,15,10,5,3,2) at
+# n = 110 passes 1,000,000 at its seventh part and, uncapped, ran out of
+# memory at its eighth.
+COLUMN_MAX_STATES = 1_000_000
 
 
 def _beads(lam):
@@ -88,18 +94,25 @@ def _mn(mask, mu):
 def character_column(mu):
     """{lam: chi^lam(mu)} over exactly the lam where it is nonzero.
 
-    Border strips of sizes mu_1, mu_2, ... are added to the empty shape,
-    held as n beads at 0 .. n-1, carrying signed values; a shape whose
-    value sums to 0 is dropped after each part. P(n) is never enumerated,
-    so the cost follows the support, not p(n)."""
+    Border strips of sizes mu's parts, smallest first, are added to the
+    empty shape, held as n beads at 0 .. n-1, carrying signed values; a
+    shape whose value sums to 0 is dropped after each part. The value
+    does not depend on the order of the parts, and small strips first
+    keep the early supports small. P(n) is never enumerated, so the cost
+    follows the support, not p(n). More than COLUMN_MAX_STATES shapes
+    after any part is a ValueError, raised as soon as they are reached."""
     mu = check_partition(mu)
     states = {(1 << sum(mu)) - 1: 1}
-    for r in mu:
+    for r in reversed(mu):
         grown = {}
         for mask, value in states.items():
             for larger, height in _slides(mask, r):
                 grown[larger] = grown.get(larger, 0) + \
                     (-value if height % 2 else value)
+            if len(grown) > COLUMN_MAX_STATES:
+                raise ValueError(f"character column of {mu} needs more "
+                                 f"shapes than COLUMN_MAX_STATES = "
+                                 f"{COLUMN_MAX_STATES}")
         states = {mask: value for mask, value in grown.items() if value}
     return {_shape(mask): value for mask, value in states.items()}
 

@@ -15,7 +15,6 @@ from .counting import (count_spectral, count_matrix_method, count_goulden,
 from .oracle import count_brute, BRUTE_MAX_N, BRUTE_MAX_K
 from .partitions import enumerate_partitions, rho, DEFAULT_MAX_N
 from .transition import build_transition_matrix
-from .verify import run_battery
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -148,6 +147,7 @@ def cmd_series(args, out):
 
 
 def cmd_verify(args, out):
+    from .verify import run_battery  # loaded here only: counting never needs it
     results = run_battery(deep=args.deep)
     width = max(len(r.name) for r in results)
     failed = 0

@@ -7,6 +7,7 @@ timestamps.
 """
 
 import json
+from functools import cache, partial
 
 
 def dumps(payload):
@@ -34,68 +35,95 @@ def partitions_json(index):
                   "partitions": [list(lam) for lam in index]})
 
 
-def _dense_rows(rows):
-    """Sparse (column, value) rows as full lists, one row at a time."""
+def _spliced_rows(rows, size, cell, sep):
+    """Each sparse row of (column, value) pairs, columns ascending, as one
+    line of size cells joined by sep: cell(v) for each stored pair and
+    zero = cell(0) elsewhere. No zero is formatted on its own: every zero
+    cell has one width, so in the line of size zeros cell j starts at
+    j * (len(zero) + len(sep)), and a row's stored cells are spliced into
+    that string there. Grids repeat few values, so cell is memoized."""
+    cell = cache(cell)
+    zero = cell(0)
+    blank = sep.join([zero] * size)
+    width, step = len(zero), len(zero) + len(sep)
     for pairs in rows:
-        line = [0] * len(rows)
+        parts = []
+        add, at = parts.append, 0
         for j, v in pairs:
-            line[j] = v
-        yield line
+            start = j * step
+            add(blank[at:start])
+            add(cell(v))
+            at = start + width
+        add(blank[at:])
+        yield "".join(parts)
 
 
-def _grid_json(index, key, rows, **extra):
-    """dumps({n, order, key: rows, **extra}), written a row at a time."""
+def _joined_rows(rows, cell, sep):
+    """Each dense row as one line of its cells joined by sep; cell is
+    memoized."""
+    cell = cache(cell)
+    for row in rows:
+        yield sep.join(map(cell, row))
+
+
+def _grid_json(index, key, format_rows, **extra):
+    """dumps({n, order, key: rows, **extra}), written a row at a time;
+    format_rows(cell, sep) yields each row as one line of its cells."""
     order = [partition_label(lam) for lam in index]
     head, tail = dumps({"n": index.n, "order": order, key: None, **extra}
                        ).split(f'"{key}": null')
-    grid = ",\n".join("    [\n" + ",\n".join(f'      "{v}"' for v in row)
-                      + "\n    ]" for row in rows)
+    grid = ",\n".join(f"    [\n{line}\n    ]" for line in
+                      format_rows(lambda v: f'      "{v}"', ",\n"))
     return "".join([head, f'"{key}": [\n', grid, "\n  ]", tail])
 
 
-def _grid_csv(index, rows):
+def _grid_csv(index, format_rows):
     labels = [partition_label(lam) for lam in index]
     lines = [",".join(["", *labels])]  # no cell ever needs quoting
-    lines += [",".join([label, *map(str, row)])
-              for label, row in zip(labels, rows)]
+    lines += [f"{label},{line}" for label, line in
+              zip(labels, format_rows(str, ","))]
     return "\n".join(lines) + "\n"
 
 
-def _grid_text(index, rows, stored):
-    """Cells as wide as the widest label or value in the rows of stored."""
+def _grid_text(index, values, format_rows):
+    """Cells as wide as the widest label or value in values. A 0 is never
+    wider than a label, so values may leave out the zeros."""
     labels = [partition_label(lam) for lam in index]
-    width = max(len(str(v)) for row in (labels, *stored) for v in row)
+    width = max(map(len, labels + list(map(str, set(values)))))
     lines = [" " * (width + 2) + " ".join(f"{s:>{width}}" for s in labels)]
-    lines += [f"{label:>{width}}: " + " ".join(f"{v:>{width}}" for v in row)
-              for label, row in zip(labels, rows)]
+    lines += [f"{label:>{width}}: {line}" for label, line in
+              zip(labels, format_rows(f"{{:>{width}}}".format, " "))]
     return "\n".join(lines) + "\n"
 
 
 def matrix_json(index, rows, eigen=None):
     extra = {} if eigen is None else {"eigenvalues": [
         [partition_label(lam), str(r)] for r, lam in eigen]}
-    return _grid_json(index, "entries", _dense_rows(rows), **extra)
+    return _grid_json(index, "entries",
+                      partial(_spliced_rows, rows, len(index)), **extra)
 
 
 def matrix_csv(index, rows):
-    return _grid_csv(index, _dense_rows(rows))
+    return _grid_csv(index, partial(_spliced_rows, rows, len(index)))
 
 
 def matrix_text(index, rows):
-    stored = ((v for _, v in pairs) for pairs in rows)
-    return _grid_text(index, _dense_rows(rows), stored)
+    return _grid_text(index, (v for pairs in rows for _, v in pairs),
+                      partial(_spliced_rows, rows, len(index)))
 
 
 def chartable_json(table):
-    return _grid_json(table.index, "values", table.values)
+    return _grid_json(table.index, "values",
+                      partial(_joined_rows, table.values))
 
 
 def chartable_csv(table):
-    return _grid_csv(table.index, table.values)
+    return _grid_csv(table.index, partial(_joined_rows, table.values))
 
 
 def chartable_text(table):
-    return _grid_text(table.index, table.values, table.values)
+    return _grid_text(table.index, (v for row in table.values for v in row),
+                      partial(_joined_rows, table.values))
 
 
 def count_json(n, mu, k, count, method):

@@ -4,6 +4,7 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from permfact import characters
 from permfact.characters import (mn_character, enumerate_bst,
                                  bst_signed_count, dimension_hook_formula,
                                  build_character_table, character_column)
@@ -106,6 +107,13 @@ def test_character_column_is_table_support():
             support = {lam: row[at] for lam, row
                        in zip(table.index, table.values) if row[at]}
             assert character_column(mu) == support, mu
+
+
+def test_column_state_cap(monkeypatch):
+    monkeypatch.setattr(characters, "COLUMN_MAX_STATES", 5)
+    assert len(character_column((4,))) == 4
+    with pytest.raises(ValueError, match=r"COLUMN_MAX_STATES = 5$"):
+        character_column((1,) * 6)
 
 
 def test_orthogonality_exact():

@@ -297,6 +297,12 @@ def test_grid_outputs_match_whole_grid_formatters(capsys, dense):
              for fmt in ("text", "csv", "json") for eigen in (False, True)]
     cases += [("chartable", n, fmt, False) for n in range(1, 8)
               for fmt in ("text", "csv", "json")]
+    # A_16: 231 shapes, 0.9 % stored, every row spliced into zeros; the
+    # character table of S_12 has negative values and labels wider than
+    # any value
+    cases += [("matrix", 16, fmt, eigen) for fmt in ("text", "csv", "json")
+              for eigen in (False, True)]
+    cases += [("chartable", 12, fmt, False) for fmt in ("text", "csv", "json")]
     for command, n, fmt, eigen in cases:
         argv = [command, "--n", str(n), "--format", fmt]
         code, out, _ = run_cli(argv + ["--eigen"] * eigen, capsys)
@@ -332,3 +338,36 @@ def test_matrix_json_peak_memory():
     code, kb = map(int, result.stderr.split())
     assert code == 0
     assert kb < 100 * 1024, f"peak RSS {kb / 1024:.0f} MB"
+
+
+def test_count_leaves_battery_unloaded():
+    # symfun and verify are loaded on first use, and only then
+    child = (
+        "import sys\n"
+        "import permfact.cli\n"
+        "assert permfact.cli.main(['count', '--mu', '3,2', '--k', '5']) == 0\n"
+        "loaded = {'permfact.verify', 'permfact.symfun'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+        "import permfact\n"
+        "assert permfact.run_battery.__module__ == 'permfact.verify'\n"
+        "assert permfact.Poly.__module__ == 'permfact.symfun'\n"
+        "assert not hasattr(permfact, 'no_such_name')\n"
+        "names = {}\n"
+        "exec('from permfact import *', names)\n"
+        "missing = set(permfact.__all__) - set(names)\n"
+        "assert not missing, missing\n")
+    src = os.path.dirname(os.path.dirname(permfact.__file__))
+    result = subprocess.run([sys.executable, "-c", child],
+                            capture_output=True, text=True, timeout=300,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.endswith("MATCH\n"), result.stdout
+
+
+def test_count_past_column_cap_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(characters, "COLUMN_MAX_STATES", 5)
+    code, out, err = run_cli(["count", "--mu", "1,1,1,1,1,1", "--k", "4",
+                              "--method", "spectral"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.endswith("COLUMN_MAX_STATES = 5\n"), err
