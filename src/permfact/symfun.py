@@ -13,12 +13,15 @@ evaluation at a point. The operator
 acts on symmetric polynomials; on a Schur polynomial of degree n it
 multiplies by 2n(N-1) + 2 rho, and its matrix on the power-sum basis of
 degree n is twice the transposed transition matrix shifted by n(N-1).
-The divided differences are computed by exact polynomial division.
+Each divided difference is taken term by term on the exponent maps, as
+(g - g|_{x_i=x_j}) / (x_i - x_j). That quotient is exact iff g vanishes
+at x_i = x_j, and this is checked for every pair (i, j).
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from math import factorial
+from math import factorial, lcm
 from operator import add
 
 from .partitions import (enumerate_partitions, check_partition, class_size,
@@ -131,8 +134,14 @@ def power_sum(k, N):
 
 
 def expand_p(lam, N):
-    """p_lam as the product of the power sums of its parts."""
-    lam = check_partition(lam)
+    """p_lam as the product of the power sums of its parts. The last 256
+    are memoized: callers share the returned Poly, and every Poly
+    operation builds a new one."""
+    return _expand_p(check_partition(lam), N)
+
+
+@lru_cache(maxsize=256)
+def _expand_p(lam, N):
     out = Poly.constant(N, 1)
     for part in lam:
         out = out * power_sum(part, N)
@@ -170,14 +179,16 @@ def schur_from_characters(lam, N, table=None):
     n = sum(lam)
     if table is None:
         table = build_character_table(n)
-    out = Poly(N)
+    out = {}
     for nu in table.index:
         chi = table.value(lam, nu)
         if chi:
-            out = out + expand_p(nu, N).scale(chi * class_size(nu))
+            w = chi * class_size(nu)
+            for exps, c in expand_p(nu, N).terms.items():
+                out[exps] = out.get(exps, 0) + w * c
     nfact = factorial(n)
     terms = {}
-    for exps, c in out.terms.items():
+    for exps, c in out.items():
         q, rest = divmod(c, nfact)
         if rest or q < 0:
             raise RuntimeError(f"non-integer or negative Schur coefficient "
@@ -187,41 +198,53 @@ def schur_from_characters(lam, N, table=None):
 
 
 def _divide_by_difference(g, i, j):
-    """Exact quotient g / (x_i - x_j); raises if the division leaves a
-    remainder (i.e. g does not vanish at x_i = x_j)."""
-    out = {}
-    for exps, c in g.terms.items():
-        e_i = exps[i]
-        base = list(exps)
-        for d in range(e_i):
-            base[i] = d
-            base[j] = exps[j] + e_i - 1 - d
-            key = tuple(base)
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    q = Poly(g.N, out)
-    if (Poly.variable(g.N, i) - Poly.variable(g.N, j)) * q != g:
-        raise RuntimeError("division by variable difference left a remainder")
-    return q
+    """Exact quotient of g, an {exponents: coeff} map, by x_i - x_j, as a
+    map that may hold zeros. Taken term by term the quotient is
+    (g - g|_{x_i=x_j}) / (x_i - x_j), so it is exact iff g vanishes at
+    x_i = x_j: each term is gathered at exponent e_i + e_j of x_j, and a
+    sum other than 0 raises RuntimeError."""
+    out, rest = {}, {}
+    for exps, c in g.items():
+        e = list(exps)
+        a, s = e[i], e[i] + e[j]
+        e[i], e[j] = 0, s
+        key = tuple(e)
+        rest[key] = rest.get(key, 0) + c
+        # x_i^a x_j^b - x_j^(a+b) = (x_i - x_j) sum_d x_i^d x_j^(a+b-1-d)
+        for d in range(a):
+            e[i], e[j] = d, s - 1 - d
+            key = tuple(e)
+            out[key] = out.get(key, 0) + c
+    if any(rest.values()):
+        raise RuntimeError(f"division by x_{i} - x_{j} left a remainder")
+    return out
 
 
 def apply_dstar(f):
     """Apply the operator to a symmetric polynomial."""
     if not is_symmetric(f):
         raise ValueError("operator input must be symmetric")
-    # x_i^2 d2/dx_i^2 fixes each monomial, scaling by e_i (e_i - 1)
-    out = Poly(f.N, {exps: c * sum(e * (e - 1) for e in exps)
-                     for exps, c in f.terms.items()})
-    for i in range(f.N):
-        for j in range(i + 1, f.N):
-            g = Poly.variable(f.N, i, 2) * f.diff(i) \
-                - Poly.variable(f.N, j, 2) * f.diff(j)
-            # the (j, i) summand equals the (i, j) one, hence the factor 2
-            out = out + _divide_by_difference(g, i, j).scale(2)
-    return out
+    N = f.N
+    # (x_i^2 d_i f - x_j^2 d_j f) / (x_i - x_j)
+    #     = x_i d_i f + x_j (x_i d_i - x_j d_j) f / (x_i - x_j),
+    # and the (j, i) summand equals the (i, j) one: factor 2. Both
+    # x_k^2 d_k^2 and the x_k d_k f of the N - 1 - k pairs (k, j), j > k,
+    # fix each monomial, scaling it by e_k (e_k - 1) and 2 (N - 1 - k) e_k;
+    # h is the rest, x_j (x_i d_i - x_j d_j) f, which must divide exactly
+    out = {exps: c * sum(e * (e - 1 + 2 * (N - 1 - k))
+                         for k, e in enumerate(exps))
+           for exps, c in f.terms.items()}
+    for i, j in combinations(range(N), 2):
+        h = {}
+        for exps, c in f.terms.items():
+            a, b = exps[i], exps[j]
+            if a != b:
+                e = list(exps)
+                e[j] += 1
+                h[tuple(e)] = (a - b) * c
+        for exps, c in _divide_by_difference(h, i, j).items():
+            out[exps] = out.get(exps, 0) + 2 * c
+    return Poly(N, out)
 
 
 def p_basis_coords(f, n, N):
@@ -232,52 +255,43 @@ def p_basis_coords(f, n, N):
                          f"(got N={N}, n={n})")
     index = enumerate_partitions(n)
     expansions = [expand_p(lam, N) for lam in index]
-    # a symmetric f is fixed by its coefficients on monomials with weakly
-    # decreasing exponents; the reconstruction below checks every other one
-    monomials = sorted(mono for mono in set().union(
-        *(p.terms for p in expansions), f.terms)
-        if all(a >= b for a, b in zip(mono, mono[1:])))
-    rows = [[p.terms.get(mono, Fraction(0)) for p in expansions]
-            for mono in monomials]
-    rhs = [f.terms.get(mono, Fraction(0)) for mono in monomials]
+    # a symmetric f of degree n is fixed by its coefficients on the
+    # monomials x^lam, lam in P(n); the reconstruction below checks the rest
+    monomials = [lam + (0,) * (N - len(lam)) for lam in index]
+    rows = [[p.terms.get(mono, 0) for p in expansions] for mono in monomials]
+    rhs = [f.terms.get(mono, 0) for mono in monomials]
     coords = _solve_exact(rows, rhs)
-    # exactness check: the coordinates must reproduce f on the nose
-    recon = Poly(N)
+    # exactness check, in integers: the coordinates times their common
+    # denominator must reproduce f times it on the nose
+    den = lcm(*(c.denominator for c in coords))
+    recon = {}
     for c, p in zip(coords, expansions):
         if c:
-            recon = recon + p.scale(c)
-    if recon != f:
+            c = c.numerator * (den // c.denominator)
+            for exps, v in p.terms.items():
+                recon[exps] = recon.get(exps, 0) + c * v
+    if {e: v for e, v in recon.items() if v} != \
+            {e: den * v for e, v in f.terms.items()}:
         raise RuntimeError("power-sum re-expression failed to reproduce input")
     return {lam: coords[i] for i, lam in enumerate(index)}
 
 
 def _solve_exact(rows, rhs):
-    """Solve an overdetermined consistent rational system by elimination."""
-    m, k = len(rows), len(rows[0])
-    aug = [list(rows[r]) + [rhs[r]] for r in range(m)]
-    piv_rows = []
-    r = 0
+    """Solve a square rational system by Gauss-Jordan elimination."""
+    k = len(rows)
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
     for col in range(k):
-        piv = next((i for i in range(r, m) if aug[i][col]), None)
+        piv = next((i for i in range(col, k) if aug[i][col]), None)
         if piv is None:
             raise RuntimeError("singular system: power sums not independent")
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = Fraction(1) / aug[r][col]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][col]:
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = Fraction(1) / aug[col][col]
+        aug[col] = [v * inv for v in aug[col]]
+        for i in range(k):
+            if i != col and aug[i][col]:
                 factor = aug[i][col]
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[r])]
-        piv_rows.append((r, col))
-        r += 1
-    # every column got a pivot, so the remaining rows must be fully zero
-    for i in range(r, m):
-        if aug[i][k]:
-            raise RuntimeError("inconsistent system")
-    sol = [Fraction(0)] * k
-    for row, col in piv_rows:
-        sol[col] = aug[row][k]
-    return sol
+                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[col])]
+    return [row[k] for row in aug]
 
 
 def matrix_of_dstar(n, N):

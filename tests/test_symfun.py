@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from permfact.characters import CharacterTable, build_character_table
 from permfact.partitions import enumerate_partitions, conjugate, rho, z_value
@@ -30,12 +31,67 @@ def test_symmetry_detection():
 
 def test_divide_by_difference_exact():
     # (x0^2 - x1^2) / (x0 - x1) = x0 + x1
-    g = Poly(2, {(2, 0): Fraction(1), (0, 2): Fraction(-1)})
-    q = _divide_by_difference(g, 0, 1)
-    assert q.terms == {(1, 0): 1, (0, 1): 1}
-    bad = Poly(2, {(2, 0): Fraction(1)})
+    g = {(2, 0): Fraction(1), (0, 2): Fraction(-1)}
+    assert Poly(2, _divide_by_difference(g, 0, 1)) == power_sum(1, 2)
     with pytest.raises(RuntimeError):
-        _divide_by_difference(bad, 0, 1)
+        _divide_by_difference({(2, 0): Fraction(1)}, 0, 1)
+    # a non-adjacent pair: (x0 - x2)(x0 x1 + x2^2) / (x0 - x2)
+    g = (Poly.variable(3, 0) - Poly.variable(3, 2)) * Poly(
+        3, {(1, 1, 0): 1, (0, 0, 2): 1})
+    assert Poly(3, _divide_by_difference(g.terms, 0, 2)) == \
+        Poly(3, {(1, 1, 0): 1, (0, 0, 2): 1})
+    # at x0 = x2, x0^2 x1 - x2^2 x1 cancels but x0 x1 leaves x1 x2
+    bad = {(2, 1, 0): 1, (0, 1, 2): -1, (1, 1, 0): 1}
+    with pytest.raises(RuntimeError, match="x_0 - x_2"):
+        _divide_by_difference(bad, 0, 2)
+
+
+def test_expand_p_memo_is_shared_and_unchanged():
+    def fresh():
+        return power_sum(2, 3) * power_sum(1, 3)
+    p = expand_p([2, 1], 3)
+    assert p == fresh() and p is expand_p((2, 1), 3)
+    p.scale(5), p + p, p * p, p - p  # each builds a new Poly
+    assert expand_p((2, 1), 3) == fresh()
+    with pytest.raises(ValueError):
+        expand_p([1, 2], 3)
+
+
+def _reference_dstar(f):
+    """The operator by generic Poly arithmetic over every ordered pair,
+    each quotient checked by multiplying back."""
+    N = f.N
+    out = Poly(N, {e: c * sum(k * (k - 1) for k in e)
+                   for e, c in f.terms.items()})
+    for i in range(N):
+        for j in range(N):
+            if i != j:
+                g = Poly.variable(N, i, 2) * f.diff(i) \
+                    - Poly.variable(N, j, 2) * f.diff(j)
+                q = Poly(N, _divide_by_difference(g.terms, i, j))
+                assert (Poly.variable(N, i) - Poly.variable(N, j)) * q == g
+                out = out + q
+    return out
+
+
+def test_dstar_matches_reference_on_p_and_s():
+    for n in range(1, 5):
+        table = build_character_table(n)
+        for N in (n + 1, n + 2):
+            for lam in enumerate_partitions(n):
+                for f in (expand_p(lam, N),
+                          schur_from_characters(lam, N, table=table)):
+                    assert apply_dstar(f) == _reference_dstar(f)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 2), st.data())
+def test_dstar_matches_reference_on_p_combinations(n, extra, data):
+    N = n + extra
+    f = Poly(N)
+    for lam in enumerate_partitions(n):
+        f = f + expand_p(lam, N).scale(data.draw(st.integers(-5, 5)))
+    assert apply_dstar(f) == _reference_dstar(f)
 
 
 def test_dstar_on_p1_and_constants():

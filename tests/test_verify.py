@@ -1,6 +1,8 @@
 from bisect import insort
 
-from permfact import characters, verify
+import pytest
+
+from permfact import characters, symfun, verify
 from permfact.cli import main
 from permfact.characters import CharacterTable, build_character_table
 from permfact.verify import run_battery, check_dstar, check_two_cycle
@@ -79,3 +81,35 @@ def test_dimension_fault_is_reported(monkeypatch):
                         lambda lam: hook(lam) + (lam == (2, 1, 1)))
     r = verify.check_character_table(n_max=5)
     assert (r.status, r.detail) == ("FAIL", "dimension at (2, 1, 1)")
+
+
+def test_dstar_faults_are_located(monkeypatch):
+    apply, schur = symfun.apply_dstar, symfun.schur_from_characters
+
+    def one_coefficient(f):  # D p_11 at N = 3 gains a p_2
+        out = apply(f)
+        return out + symfun.expand_p((2,), 3) \
+            if f == symfun.expand_p((1, 1), 3) else out
+
+    def not_eigen(lam, N, table=None):  # s_21 at N = 4 gains a p_3
+        out = schur(lam, N, table=table)
+        return out + symfun.power_sum(3, 4) if (lam, N) == ((2, 1), 4) \
+            else out
+
+    with monkeypatch.context() as m:
+        m.setattr(symfun, "apply_dstar", one_coefficient)
+        r = check_dstar(n_max=3)
+        assert (r.status, r.detail) == ("FAIL", "matrix (n=2, N=3) at (1,0)")
+    monkeypatch.setattr(symfun, "schur_from_characters", not_eigen)
+    r = check_dstar(n_max=3)
+    assert (r.status, r.detail) == ("FAIL", "eigenfunction (n=3, N=4, (2, 1))")
+
+
+def test_dstar_dropped_pair_is_caught(monkeypatch):
+    divide = symfun._divide_by_difference
+    monkeypatch.setattr(symfun, "_divide_by_difference",
+                        lambda g, i, j: {} if (i, j) == (0, 1)
+                        else divide(g, i, j))
+    # the image is no longer symmetric, so no power-sum coordinates fit it
+    with pytest.raises(RuntimeError, match="re-expression"):
+        check_dstar(n_max=3)
