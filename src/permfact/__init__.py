@@ -1,50 +1,53 @@
 """Exact counting of permutation factorizations into transpositions.
 
-The names of symfun and verify are loaded on first use (PEP 562), so a
-process that only counts never imports the battery.
+Importing the package loads none of its modules. Each exported name
+loads the module it is read from on first use (PEP 562) and is then
+bound here, as an eager import would have bound it. So a process pays
+only for the modules its work reads: a count never imports the
+battery, and the matrix never imports the characters.
 """
 
 import importlib
 
-from .partitions import (enumerate_partitions, PartitionIndex, conjugate,
-                         z_value, class_size, rho, hook_lengths,
-                         parity_census, DEFAULT_MAX_N)
-from .transition import (build_transition_matrix, build_raw_counts,
-                         verify_matrix_equality, matrix_power_apply,
-                         zero_multiplicity_lower_bound)
-from .characters import (mn_character, enumerate_bst, bst_signed_count,
-                         dimension_hook_formula, build_character_table,
-                         CharacterTable)
-from .counting import (count_spectral, count_matrix_method, count_goulden,
-                       count_two_cycle, two_cycle_terms, series_prefix,
-                       SeriesPrefix)
-from .oracle import (cycle_type, count_brute, count_tuples, verify_cut_glue,
-                     verify_class_invariance)
-
 __version__ = "0.1.0"
 
-# served by __getattr__, with the module each name is read from
-_LAZY = {name: "symfun" for name in (
-    "Poly", "power_sum", "expand_p", "schur_from_characters", "apply_dstar",
-    "matrix_of_dstar", "omega_on_p", "schur_p_coords")}
-_LAZY["run_battery"] = "verify"
+# each module and the names read from it, in export order
+_EXPORTS = {
+    "partitions": (
+        "enumerate_partitions", "PartitionIndex", "conjugate", "z_value",
+        "class_size", "rho", "hook_lengths", "parity_census",
+        "DEFAULT_MAX_N"),
+    "transition": (
+        "build_transition_matrix", "build_raw_counts",
+        "verify_matrix_equality", "matrix_power_apply",
+        "zero_multiplicity_lower_bound"),
+    "characters": (
+        "mn_character", "enumerate_bst", "bst_signed_count",
+        "dimension_hook_formula", "build_character_table", "CharacterTable"),
+    "counting": (
+        "count_spectral", "count_matrix_method", "count_goulden",
+        "count_two_cycle", "two_cycle_terms", "series_prefix",
+        "SeriesPrefix"),
+    "oracle": (
+        "cycle_type", "count_brute", "count_tuples", "verify_cut_glue",
+        "verify_class_invariance"),
+    "symfun": (
+        "Poly", "power_sum", "expand_p", "schur_from_characters",
+        "apply_dstar", "matrix_of_dstar", "omega_on_p", "schur_p_coords"),
+    "verify": ("run_battery",),
+}
+_LAZY = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "enumerate_partitions", "PartitionIndex", "conjugate", "z_value",
-    "class_size", "rho", "hook_lengths", "parity_census", "DEFAULT_MAX_N",
-    "build_transition_matrix", "build_raw_counts", "verify_matrix_equality",
-    "matrix_power_apply", "zero_multiplicity_lower_bound",
-    "mn_character", "enumerate_bst", "bst_signed_count",
-    "dimension_hook_formula", "build_character_table", "CharacterTable",
-    "count_spectral", "count_matrix_method", "count_goulden",
-    "count_two_cycle", "two_cycle_terms", "series_prefix", "SeriesPrefix",
-    "cycle_type", "count_brute", "count_tuples", "verify_cut_glue",
-    "verify_class_invariance",
-    *_LAZY,
-]
+__all__ = list(_LAZY)
 
 
 def __getattr__(name):
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

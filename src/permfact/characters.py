@@ -8,7 +8,7 @@ signed tableaux one by one from the raw definition and exists to keep
 the recursion honest. Dimensions come from hook lengths as a third route.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 from itertools import accumulate
 from math import factorial
@@ -117,13 +117,10 @@ def character_column(mu):
     return {_shape(mask): value for mask, value in states.items()}
 
 
-@dataclass(frozen=True)
-class BorderStripTableau:
-    shape: tuple
-    content: tuple
-    filling: tuple  # rows of labels, 1-based
-    height: int
-    width: int
+class BorderStripTableau(namedtuple(
+        "BorderStripTableau", "shape content filling height width")):
+    """filling holds the rows of labels, 1-based."""
+    __slots__ = ()
 
     def sign(self):
         return -1 if self.height % 2 else 1

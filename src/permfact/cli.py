@@ -3,18 +3,17 @@
 Subcommands: count, matrix, chartable, series, verify, partitions.
 Exit codes: 0 on success, 1 when a verification or cross-method check
 fails, 2 on usage errors.
+
+Each subcommand imports the modules of its own route when it runs, so
+a process loads only what its subcommand reads: `matrix` never loads
+the characters, a count never loads the battery.
 """
 
 import argparse
 import sys
 
 from . import serialize
-from .characters import build_character_table
-from .counting import (count_spectral, count_matrix_method, count_goulden,
-                       count_two_cycle, series_prefix)
-from .oracle import count_brute, BRUTE_MAX_N, BRUTE_MAX_K
 from .partitions import enumerate_partitions, rho, DEFAULT_MAX_N
-from .transition import build_transition_matrix
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -44,6 +43,9 @@ def _resolve_mu(args):
 
 
 def cmd_count(args, out):
+    from .counting import (count_spectral, count_matrix_method,
+                           count_goulden, count_two_cycle)
+    from .oracle import count_brute, BRUTE_MAX_N, BRUTE_MAX_K
     mu, n = _resolve_mu(args)
     methods = [args.method] if args.method != "all" else None
     if methods is None:
@@ -97,6 +99,7 @@ def cmd_count(args, out):
 
 
 def cmd_matrix(args, out):
+    from .transition import build_transition_matrix
     n = _ceiling(args, args.n, least=2)
     index = enumerate_partitions(n)
     rows = build_transition_matrix(n)
@@ -118,6 +121,7 @@ def cmd_matrix(args, out):
 
 
 def cmd_chartable(args, out):
+    from .characters import build_character_table
     table = build_character_table(_ceiling(args, args.n))
     if args.format == "json":
         out.write(serialize.chartable_json(table))
@@ -129,6 +133,7 @@ def cmd_chartable(args, out):
 
 
 def cmd_series(args, out):
+    from .counting import series_prefix
     mu, _ = _resolve_mu(args)
     prefix = series_prefix(mu, args.terms)
     if args.format == "json":
@@ -147,7 +152,7 @@ def cmd_series(args, out):
 
 
 def cmd_verify(args, out):
-    from .verify import run_battery  # loaded here only: counting never needs it
+    from .verify import run_battery
     results = run_battery(deep=args.deep)
     width = max(len(r.name) for r in results)
     failed = 0

@@ -8,8 +8,7 @@ by the same helper. count_matrix_method walks row mu of the transition
 matrix instead. All four agree; the test suite holds them to that.
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from math import comb, factorial
 
 from .partitions import check_partition, rho, z_value, DEFAULT_MAX_N
@@ -155,10 +154,9 @@ def count_two_cycle(m, k_small, k, max_n=DEFAULT_MAX_N):
 # generating-function prefix
 
 
-@dataclass(frozen=True)
-class SeriesPrefix:
-    mu: tuple
-    coefficients: tuple  # Fraction c_j(mu)/j! for j = 0 .. terms-1
+class SeriesPrefix(namedtuple("SeriesPrefix", "mu coefficients")):
+    """mu and the Fractions c_j(mu)/j! for j = 0 .. terms-1."""
+    __slots__ = ()
 
     @property
     def nonzero_parity(self):
@@ -172,6 +170,7 @@ def series_prefix(mu, terms, table=None):
     Only one parity of j can be nonzero (the partition graph is
     bipartite); that collapse is verified on the computed prefix.
     """
+    from fractions import Fraction  # only a series makes one
     mu = check_partition(mu)
     if terms < 1:
         raise ValueError("terms must be positive")

@@ -6,11 +6,11 @@ Output is byte-stable for a fixed input: fixed orderings, no
 timestamps.
 """
 
-import json
 from functools import cache, partial
 
 
 def dumps(payload):
+    import json  # loaded here only: text and csv output never need it
     return json.dumps(payload, sort_keys=True, separators=(",", ": "),
                       indent=2) + "\n"
 

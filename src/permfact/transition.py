@@ -29,7 +29,6 @@ from math import factorial
 
 from .partitions import (enumerate_partitions, multiplicities, conjugate,
                          class_size, z_value, rho)
-from .oracle import class_representative, transpositions, compose, cycle_type
 
 
 def _moves(t):
@@ -105,6 +104,8 @@ def walk_row(mu, k):
 def build_raw_counts(n):
     """Transition counts tallied by acting with every transposition on a
     fixed representative of each class. Row t, column s: moves t -> s."""
+    from .oracle import (class_representative, transpositions, compose,
+                         cycle_type)
     if n < 2:
         raise ValueError("raw counts need n >= 2")
     index = enumerate_partitions(n)

@@ -1,3 +1,4 @@
+import inspect
 from fractions import Fraction
 from math import comb, factorial
 
@@ -5,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from permfact import characters
-from permfact.characters import (mn_character, enumerate_bst,
-                                 bst_signed_count, dimension_hook_formula,
+from permfact.characters import (BorderStripTableau, mn_character,
+                                 enumerate_bst, bst_signed_count,
+                                 dimension_hook_formula,
                                  build_character_table, character_column)
 from permfact.partitions import enumerate_partitions, conjugate, z_value
 
@@ -47,6 +49,24 @@ def test_bst_examples():
     assert len(tabs) == 2
     assert all(t.height + t.width + len(t.content) == 3 for t in tabs)
     assert bst_signed_count((2, 1), (1, 1, 1)) == 2
+
+
+def test_bst_record():
+    # keyword fields, repr, value equality and hash, sign, no assignment
+    assert list(inspect.signature(BorderStripTableau).parameters) == \
+        ["shape", "content", "filling", "height", "width"]
+    flat = BorderStripTableau(shape=(2, 1), content=(2, 1),
+                              filling=((1, 1), (2,)), height=0, width=1)
+    assert repr(flat) == ("BorderStripTableau(shape=(2, 1), content=(2, 1), "
+                          "filling=((1, 1), (2,)), height=0, width=1)")
+    tabs = enumerate_bst((2, 1), (2, 1))
+    assert tabs[0] == flat and hash(tabs[0]) == hash(flat)
+    assert tabs[1] != flat
+    assert (flat.sign(), tabs[1].sign()) == (1, -1)
+    with pytest.raises(AttributeError):
+        flat.height = 1
+    with pytest.raises(AttributeError):
+        flat.sign_cache = 1
 
 
 def test_bst_cells_identity_and_match_recursion():

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import io
 import json
 import os
@@ -349,6 +350,7 @@ def test_count_leaves_battery_unloaded():
         "loaded = {'permfact.verify', 'permfact.symfun'} & set(sys.modules)\n"
         "assert not loaded, loaded\n"
         "import permfact\n"
+        "assert set(permfact.__all__) <= set(dir(permfact))\n"
         "assert permfact.run_battery.__module__ == 'permfact.verify'\n"
         "assert permfact.Poly.__module__ == 'permfact.symfun'\n"
         "assert not hasattr(permfact, 'no_such_name')\n"
@@ -362,6 +364,61 @@ def test_count_leaves_battery_unloaded():
                             env={**os.environ, "PYTHONPATH": src})
     assert result.returncode == 0, result.stderr
     assert result.stdout.endswith("MATCH\n"), result.stdout
+
+
+# printed last: the names in sys.modules after `import permfact` and the
+# CLI run of the arguments, if any
+_MODULE_PROBE = (
+    "import sys\n"
+    "import permfact\n"
+    "if sys.argv[1:]:\n"
+    "    from permfact.cli import main\n"
+    "    assert main(sys.argv[1:]) == 0\n"
+    "print(*sorted(sys.modules))\n")
+
+
+def _modules_after(*argv):
+    """The modules a fresh interpreter holds after importing permfact and
+    running argv. It starts without site (-S), so whatever it holds
+    beyond the interpreter's own start-up, permfact imported."""
+    src = os.path.dirname(os.path.dirname(permfact.__file__))
+    result = subprocess.run([sys.executable, "-S", "-c", _MODULE_PROBE,
+                             *argv], capture_output=True, text=True,
+                            timeout=300, env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0, result.stderr
+    return set(result.stdout.splitlines()[-1].split())
+
+
+def test_import_loads_no_submodule():
+    loaded = _modules_after()
+    assert "permfact" in loaded
+    assert not {m for m in loaded if m.startswith("permfact.")}, loaded
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    # n = 15 is past the brute-force ceiling, so only oracle's
+    # constants are read
+    (["count", "--mu", "9,4,2", "--k", "13"],
+     {"dataclasses", "inspect", "fractions", "decimal", "json",
+      "permfact.symfun", "permfact.verify"}),
+    (["series", "--mu", "9,4,2", "--terms", "6"],
+     {"dataclasses", "permfact.oracle"}),
+    (["matrix", "--n", "9"], {"permfact.counting", "permfact.characters"}),
+])
+def test_subcommand_loads_only_its_route(argv, unloaded):
+    loaded = _modules_after(*argv)
+    assert "permfact.cli" in loaded
+    assert not loaded & unloaded, loaded & unloaded
+
+
+def test_package_binds_each_name_from_its_module():
+    for name in permfact.__all__:
+        module = importlib.import_module(f"permfact.{permfact._LAZY[name]}")
+        value = getattr(permfact, name)
+        assert value is getattr(module, name), name
+        assert vars(permfact)[name] is value, name  # bound on first read
+        if callable(value):
+            assert value.__module__ == module.__name__, name
 
 
 def test_count_past_column_cap_exits_2(capsys, monkeypatch):

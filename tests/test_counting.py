@@ -1,3 +1,4 @@
+import inspect
 import io
 import json
 from contextlib import redirect_stdout
@@ -13,7 +14,8 @@ from permfact.characters import (CharacterTable, build_character_table,
 from permfact.cli import main
 from permfact.counting import (count_spectral, count_matrix_method,
                                count_goulden, count_two_cycle,
-                               two_cycle_terms, series_prefix)
+                               two_cycle_terms, series_prefix,
+                               SeriesPrefix)
 from permfact.oracle import (count_brute, count_tuples, TUPLE_MAX_K,
                              TUPLE_MAX_N)
 from permfact.partitions import enumerate_partitions, class_size, rho
@@ -171,6 +173,25 @@ def test_series_prefix_examples():
         p = series_prefix((1,) * n, 6)
         assert p.coefficients[0] == 1  # empty product gives the identity
         assert p.coefficients[1] == 0
+
+
+def test_series_prefix_record():
+    # keyword fields, repr, value equality and hash, no assignment
+    assert list(inspect.signature(SeriesPrefix).parameters) == \
+        ["mu", "coefficients"]
+    p = SeriesPrefix(mu=(2,), coefficients=(Fraction(0), Fraction(1),
+                                            Fraction(0)))
+    assert repr(p) == ("SeriesPrefix(mu=(2,), coefficients=(Fraction(0, 1), "
+                       "Fraction(1, 1), Fraction(0, 1)))")
+    same = series_prefix((2,), 3)
+    assert p == same and hash(p) == hash(same)
+    assert p != series_prefix((2,), 4)
+    assert p.nonzero_parity == 1
+    assert SeriesPrefix(mu=(1, 1), coefficients=()).nonzero_parity == 0
+    with pytest.raises(AttributeError):
+        p.mu = (1, 1)
+    with pytest.raises(AttributeError):
+        p.terms = 3
 
 
 def test_series_parity_collapse():
