@@ -13,7 +13,8 @@ import argparse
 import sys
 
 from . import serialize
-from .partitions import enumerate_partitions, rho, DEFAULT_MAX_N
+from .partitions import (enumerate_partitions, rho, DEFAULT_MAX_N,
+                         BRUTE_MAX_N, BRUTE_MAX_K)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -45,7 +46,6 @@ def _resolve_mu(args):
 def cmd_count(args, out):
     from .counting import (count_spectral, count_matrix_method,
                            count_goulden, count_two_cycle)
-    from .oracle import count_brute, BRUTE_MAX_N, BRUTE_MAX_K
     mu, n = _resolve_mu(args)
     methods = [args.method] if args.method != "all" else None
     if methods is None:
@@ -75,6 +75,7 @@ def cmd_count(args, out):
         else:  # brute
             if n > BRUTE_MAX_N:
                 raise UsageError(f"brute method capped at n <= {BRUTE_MAX_N}")
+            from .oracle import count_brute
             value = count_brute(mu, args.k)
         results.append((method, value))
     distinct = {v for _, v in results}

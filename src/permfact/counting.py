@@ -13,7 +13,6 @@ from math import comb, factorial
 
 from .partitions import check_partition, rho, z_value, DEFAULT_MAX_N
 from .transition import walk_row
-from .characters import character_column, dimension_hook_formula
 
 
 def _expansion(terms, k, n):
@@ -35,6 +34,7 @@ def _spectral_terms(mu, table):
         at = table.index.position(mu)
         return [(row[0] * row[at], rho(lam))
                 for lam, row in zip(table.index, table.values)]
+    from .characters import character_column, dimension_hook_formula
     column = character_column(mu)
     dims = {lam: dimension_hook_formula(lam) for lam in column}
     n = sum(mu)

@@ -13,8 +13,8 @@ the counts at one element of each cycle type.
 from functools import cache
 from itertools import permutations as _all_perms, product as _product
 
-BRUTE_MAX_N = 7
-BRUTE_MAX_K = 16
+from .partitions import BRUTE_MAX_N, BRUTE_MAX_K
+
 TUPLE_MAX_N = 4
 TUPLE_MAX_K = 5
 CUT_GLUE_MAX_N = 8

@@ -18,87 +18,117 @@ holding its points, or cuts the one cycle holding both:
     join i + i -> 2i          :  i^2*k_i*(k_i-1)/2
     cut  m -> a + (m-a)       :  m*k_m, or (m/2)*k_m when a = m-a
 
-A move changes the number of parts by exactly one, so a walk with j
-steps left can reach 1^n only from shapes s with len(s) + j >= n;
-walk_row keeps only those. build_raw_counts constructs the matrix the
-literal way instead and is the oracle for the move rule.
+The move rule works on packed keys, not tuples. A shape t of n is the
+int key = sum_i k_i * 2^(b*i) with slot width b = n.bit_length(): k_i
+sits in the b-bit slot i. No multiplicity exceeds n < 2^b, so no slot
+carries into the next and each shape has exactly one key. With
+P[x] = 2^(b*x), a move is integer arithmetic on the key:
+
+    cut  m -> a + (m-a) :  key - P[m] + P[a] + P[m-a]   (one part more)
+    join i + j -> i+j   :  key - P[i] - P[j] + P[i+j]   (one part fewer)
+
+and 1^n is n*P[1]. A move changes the number of parts by exactly one,
+so a walk with j steps left can reach 1^n only from shapes s with
+len(s) + j >= n; walk_row keeps only those. build_raw_counts
+constructs the matrix the literal way instead and is the oracle for
+the move rule.
 """
 
 from collections import Counter
 from math import factorial
 
-from .partitions import (enumerate_partitions, multiplicities, conjugate,
-                         class_size, z_value, rho)
+from .partitions import (enumerate_partitions, conjugate, class_size,
+                         z_value, rho)
 
 
-def _moves(t):
-    """Row t of A_n as {s: A[t][s]}, from the move rule on t alone."""
-    k = multiplicities(t)
-    sizes = sorted(k)
-    row = {}
-    for x, i in enumerate(sizes):
-        for j in sizes[x:]:
+def _slot_powers(n):
+    """P[x] = 2^(b*x) for x = 0..n, b = n.bit_length(): the key of one
+    part x, in slots wide enough to hold any multiplicity of n."""
+    b = n.bit_length()
+    return [1 << (b * x) for x in range(n + 1)]
+
+
+def _key(t, P):
+    """The packed key of shape t: sum of P[p] over its parts p."""
+    return sum(P[p] for p in t)
+
+
+def _moves(key, P):
+    """Row t of A_n, for t the shape with this key, as (key of s, length
+    change, A[t][s]) triples, from the move rule on key's slots."""
+    b = P[1].bit_length() - 1
+    mask = P[1] - 1
+    parts = []  # (i, k_i) with k_i > 0, i ascending
+    x, i = key >> b, 1
+    while x:
+        if x & mask:
+            parts.append((i, x & mask))
+        x >>= b
+        i += 1
+    row = []
+    for at, (i, ki) in enumerate(parts):
+        rest = key - P[i]
+        for j, kj in parts[at:]:
             if i != j:
-                w = i * j * k[i] * k[j]
-            elif k[i] > 1:
-                w = i * i * k[i] * (k[i] - 1) // 2
+                w = i * j * ki * kj
+            elif ki > 1:
+                w = i * i * ki * (ki - 1) // 2
             else:
                 continue
-            row[_replace(t, (i, j), (i + j,))] = w
+            row.append((rest - P[j] + P[i + j], -1, w))
         for a in range(1, i // 2 + 1):
-            w = i * k[i] // 2 if 2 * a == i else i * k[i]
-            row[_replace(t, (i,), (a, i - a))] = w
+            w = i * ki // 2 if 2 * a == i else i * ki
+            row.append((rest + P[a] + P[i - a], 1, w))
     return row
-
-
-def _replace(t, old, new):
-    """Partition t with the parts old taken out and the parts new put in."""
-    parts = list(t)
-    for p in old:
-        parts.remove(p)
-    return tuple(sorted(parts + list(new), reverse=True))
 
 
 def build_transition_matrix(n):
     """Construct A_n row by row from the move rule."""
     if n < 2:
         raise ValueError("transition matrix needs n >= 2")
-    index = enumerate_partitions(n)
-    return [sorted((index.rank[s], w) for s, w in _moves(t).items())
-            for t in index]
+    P = _slot_powers(n)
+    keys = [_key(t, P) for t in enumerate_partitions(n)]
+    rank = {key: r for r, key in enumerate(keys)}
+    return [sorted((rank[s], w) for s, _, w in _moves(key, P))
+            for key in keys]
 
 
 def walk_row(mu, k):
     """(A^k)[mu][1^n]: the unit row vector at mu times A_n, k times, over
     the shapes that can still reach 1^n, read at 1^n.
 
-    A row is made by _moves the first time the walk reaches its shape.
-    Shapes get small int ids, which hash faster than tuples."""
+    States are packed keys, grouped by length. A row is made by _moves
+    the first time the walk reaches its key, and split into cuts (one
+    part more) and joins (one part fewer). A state was kept, so its
+    cuts always can still reach 1^n; its joins can only while it is
+    longer than the shortest length that reaches 1^n."""
     n = sum(mu)
     if n < 2:
         raise ValueError("transition matrix needs n >= 2")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    shapes, ids, rows = [mu], {mu: 0}, [None]  # rows: (id, len, weight)
-    v = {0: 1} if len(mu) + k >= n else {}
+    P = _slot_powers(n)
+    rows = {}  # key: (cuts, joins), each a list of (key', weight)
+    v = {len(mu): {_key(mu, P): 1}} if len(mu) + k >= n else {}
     for left in range(k - 1, -1, -1):
         need = n - left  # shortest length that reaches 1^n in left steps
         nxt = {}
-        for t, c in v.items():
-            row = rows[t]
-            if row is None:
-                row = rows[t] = []
-                for s, w in _moves(shapes[t]).items():
-                    if s not in ids:
-                        ids[s] = len(shapes)
-                        shapes.append(s)
-                        rows.append(None)
-                    row.append((ids[s], len(s), w))
-            for s, length, w in row:
-                if length >= need:
-                    nxt[s] = nxt.get(s, 0) + c * w
+        for length, states in v.items():
+            up = nxt.setdefault(length + 1, {})
+            down = nxt.setdefault(length - 1, {}) if length > need else None
+            for t, c in states.items():
+                row = rows.get(t)
+                if row is None:
+                    moves = _moves(t, P)
+                    row = rows[t] = ([(s, w) for s, d, w in moves if d > 0],
+                                     [(s, w) for s, d, w in moves if d < 0])
+                for s, w in row[0]:
+                    up[s] = up.get(s, 0) + c * w
+                if down is not None:
+                    for s, w in row[1]:
+                        down[s] = down.get(s, 0) + c * w
         v = nxt
-    return v.get(ids.get((1,) * n), 0)
+    return v.get(n, {}).get(n * P[1], 0)
 
 
 def build_raw_counts(n):

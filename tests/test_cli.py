@@ -24,11 +24,15 @@ def run_cli(argv, capsys):
 
 def test_count_all_methods_match(capsys):
     # (3,1): spectral, matrix, two-cycle, brute; (1): no A_1, so spectral,
-    # goulden, brute
+    # goulden, brute. (3,2,1) and (5,2,1): spectral and matrix, plus brute
+    # within its ceilings n <= 7, k <= 16 only
     for argv, value, methods in (
             (["--n", "4", "--mu", "3,1", "--k", "4"], 108, 4),
             (["--mu", "1", "--k", "0"], 1, 3),
-            (["--mu", "1", "--k", "3"], 0, 3)):
+            (["--mu", "1", "--k", "3"], 0, 3),
+            (["--mu", "3,2,1", "--k", "15"], 1216371917525319, 3),
+            (["--mu", "3,2,1", "--k", "17"], 273683681486243496, 2),
+            (["--mu", "5,2,1", "--k", "7"], 633125, 2)):
         code, out, _ = run_cli(["count"] + argv, capsys)
         assert code == 0, argv
         assert out.count(f"= {value}\n") == methods, out
@@ -396,11 +400,14 @@ def test_import_loads_no_submodule():
 
 
 @pytest.mark.parametrize("argv, unloaded", [
-    # n = 15 is past the brute-force ceiling, so only oracle's
-    # constants are read
+    # n = 15 is past the brute-force ceiling, so brute force never runs
     (["count", "--mu", "9,4,2", "--k", "13"],
      {"dataclasses", "inspect", "fractions", "decimal", "json",
-      "permfact.symfun", "permfact.verify"}),
+      "permfact.symfun", "permfact.verify", "permfact.oracle"}),
+    # the matrix route reads no character values
+    (["count", "--mu", "14,10", "--k", "24", "--method", "matrix",
+      "--max-n", "30"],
+     {"permfact.characters", "permfact.oracle"}),
     (["series", "--mu", "9,4,2", "--terms", "6"],
      {"dataclasses", "permfact.oracle"}),
     (["matrix", "--n", "9"], {"permfact.counting", "permfact.characters"}),

@@ -8,7 +8,7 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from permfact import characters, counting
+from permfact import characters
 from permfact.characters import (CharacterTable, build_character_table,
                                  mn_character)
 from permfact.cli import main
@@ -268,8 +268,8 @@ def test_validation_errors():
 
 
 def test_column_path_checks_hook_dimensions(monkeypatch):
-    hook = counting.dimension_hook_formula
-    monkeypatch.setattr(counting, "dimension_hook_formula",
+    hook = characters.dimension_hook_formula
+    monkeypatch.setattr(characters, "dimension_hook_formula",
                         lambda lam: hook(lam) + (lam == (2, 1, 1)))
     # (2, 1, 1) is off the support of column (3, 1): the count is right
     assert count_spectral((3, 1), 2) == 3
@@ -313,7 +313,7 @@ def test_walk_with_dropped_state_raises(monkeypatch):
     def dropped(mu):  # the first shape reached goes missing
         return dict(list(column(mu).items())[1:])
 
-    _mutation_never_silent(monkeypatch, counting, "character_column", dropped)
+    _mutation_never_silent(monkeypatch, characters, "character_column", dropped)
     with pytest.raises(RuntimeError, match=r"squared norm"):
         count_spectral((3, 1), 2)
 

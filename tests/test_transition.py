@@ -5,6 +5,7 @@ import pytest
 
 from permfact import transition
 from permfact.characters import build_character_table
+from permfact.counting import count_goulden
 from permfact.oracle import transpositions, compose, identity
 from permfact.partitions import enumerate_partitions, conjugate, rho
 from permfact.transition import (build_transition_matrix, build_raw_counts,
@@ -14,7 +15,17 @@ from permfact.transition import (build_transition_matrix, build_raw_counts,
                                  bipartite_offenders,
                                  zero_multiplicity_lower_bound,
                                  eigen_mismatches, dual_eigen_mismatches,
-                                 walk_row, _moves)
+                                 walk_row, _moves, _key, _slot_powers)
+
+
+def _shape(key, n):
+    """The partition of n whose multiplicities are key's b-bit slots."""
+    b = n.bit_length()
+    parts = []
+    for i in range(n, 0, -1):
+        parts += [i] * ((key >> (b * i)) & ((1 << b) - 1))
+    assert sum(parts) == n, (key, parts)
+    return tuple(parts)
 
 A4 = [[0, 6, 0, 0, 0],
       [1, 0, 1, 4, 0],
@@ -64,8 +75,14 @@ def test_formula_equals_raw_counts():
 def test_moves_equal_raw_count_rows():
     for n in range(2, 9):
         index = enumerate_partitions(n)
+        P = _slot_powers(n)
         for t, row in zip(index, build_raw_counts(n)):
-            assert _moves(t) == {index.ordered[s]: v for s, v in row}, t
+            moves = _moves(_key(t, P), P)
+            got = {_shape(s, n): v for s, _, v in moves}
+            assert len(got) == len(moves), t  # one triple per target
+            assert got == {index.ordered[s]: v for s, v in row}, t
+            assert all(len(_shape(s, n)) - len(t) == d
+                       for s, d, _ in moves), t
 
 
 def test_walk_rows_stay_in_band(monkeypatch):
@@ -73,9 +90,9 @@ def test_walk_rows_stay_in_band(monkeypatch):
     to 1^n, so the walk makes rows only for shapes no shorter than mu."""
     made = []
 
-    def recording(t):
-        made.append(t)
-        return _moves(t)
+    def recording(key, P):
+        made.append(_shape(key, len(P) - 1))
+        return _moves(key, P)
 
     monkeypatch.setattr(transition, "_moves", recording)
     for n in range(2, 10):
@@ -84,6 +101,29 @@ def test_walk_rows_stay_in_band(monkeypatch):
                 made.clear()
                 walk_row(mu, k)
                 assert all(len(t) >= len(mu) for t in made), (mu, k)
+
+
+# n at either side of each point where the slot width b = n.bit_length()
+# grows: 1^n fills slot 1 with n, and n = 2^b - 1 is the fullest a slot gets
+WIDTH_EDGES = (7, 8, 15, 16, 31, 32, 63, 64)
+
+
+@pytest.mark.parametrize("n", WIDTH_EDGES)
+def test_walk_at_slot_width_edges(n):
+    assert walk_row((1,) * n, 2) == comb(n, 2)
+    assert walk_row((2, 2) + (1,) * (n - 4), 2) == 2
+
+
+@pytest.mark.parametrize("n", (7, 8, 15, 16))
+def test_single_cycle_walks_at_slot_width_edges(n):
+    assert walk_row((n,), n - 1) == n ** (n - 2)  # Denes
+    # two steps more pass through 1^n, so its row is made from its key
+    assert walk_row((n,), n + 1) == count_goulden(n, n + 1)
+
+
+@pytest.mark.parametrize("n", (15, 16))
+def test_matrix_equals_raw_counts_at_slot_width_edge(n):
+    assert build_transition_matrix(n) == build_raw_counts(n)
 
 
 def test_raw_count_rows_sum_to_transposition_count():
