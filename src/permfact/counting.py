@@ -2,10 +2,12 @@
 
 count_spectral evaluates the eigenvalue expansion
     c_k(mu) = (1/n!) * sum_lam chi^lam(1^n) chi^lam(mu) rho_lam^k
-exactly over the integers; the closed forms count_goulden (one cycle)
-and count_two_cycle (two cycles) are sums of the same shape, evaluated
-by the same helper. count_matrix_method walks row mu of the transition
-matrix instead. All four agree; the test suite holds them to that.
+exactly over the integers, over the support of column mu only; series
+and the verify battery read the same terms. The closed forms
+count_goulden (one cycle) and count_two_cycle (two cycles) are sums of
+the same shape, evaluated by the same helper. count_matrix_method walks
+row mu of the transition matrix instead. All four agree; the test suite
+holds them to that.
 """
 
 from collections import namedtuple
@@ -26,14 +28,10 @@ def _expansion(terms, k, n):
     return total // factorial(n)
 
 
-def _spectral_terms(mu, table):
-    """(chi^lam(1^n) chi^lam(mu), rho_lam) for the lam of |mu|, from
-    table's two columns, or else over the support of column mu with
-    dimensions from the hook formula."""
-    if table is not None:
-        at = table.index.position(mu)
-        return [(row[0] * row[at], rho(lam))
-                for lam, row in zip(table.index, table.values)]
+def _spectral_terms(mu):
+    """(chi^lam(1^n) chi^lam(mu), rho_lam) over the support of column mu,
+    with dimensions from the hook formula, after both column
+    orthogonality checks. Every spectral count evaluates these pairs."""
     from .characters import character_column, dimension_hook_formula
     column = character_column(mu)
     dims = {lam: dimension_hook_formula(lam) for lam in column}
@@ -49,10 +47,10 @@ def _spectral_terms(mu, table):
     return [(dims[lam] * chi, rho(lam)) for lam, chi in column.items()]
 
 
-def count_spectral(mu, k, table=None):
+def count_spectral(mu, k):
     """c_k(mu) from character values and content-sum eigenvalues."""
     mu = check_partition(mu)
-    return _expansion(_spectral_terms(mu, table), k, sum(mu))
+    return _expansion(_spectral_terms(mu), k, sum(mu))
 
 
 def count_matrix_method(mu, k):
@@ -164,7 +162,7 @@ class SeriesPrefix(namedtuple("SeriesPrefix", "mu coefficients")):
         return (sum(self.mu) - len(self.mu)) % 2
 
 
-def series_prefix(mu, terms, table=None):
+def series_prefix(mu, terms):
     """Exponential generating coefficients c_j(mu)/j! for j < terms.
 
     Only one parity of j can be nonzero (the partition graph is
@@ -174,7 +172,7 @@ def series_prefix(mu, terms, table=None):
     mu = check_partition(mu)
     if terms < 1:
         raise ValueError("terms must be positive")
-    pairs = _spectral_terms(mu, table)
+    pairs = _spectral_terms(mu)
     prefix = SeriesPrefix(mu, tuple(
         Fraction(_expansion(pairs, j, sum(mu)), factorial(j))
         for j in range(terms)))

@@ -26,7 +26,6 @@ from operator import add
 
 from .partitions import (enumerate_partitions, check_partition, class_size,
                          z_value)
-from .characters import build_character_table
 
 
 class Poly:
@@ -170,15 +169,13 @@ def elementary(n, N):
     return Poly(N, out)
 
 
-def schur_from_characters(lam, N, table=None):
+def schur_from_characters(lam, N, table):
     """s_lam = sum_nu chi^lam(nu) p_nu / z_nu, summed in integers as
     sum_nu chi^lam(nu) (n!/z_nu) p_nu and divided exactly by n!.
     Coefficients must come out as nonnegative integers; anything else
     flags a broken table."""
     lam = check_partition(lam)
     n = sum(lam)
-    if table is None:
-        table = build_character_table(n)
     out = {}
     for nu in table.index:
         chi = table.value(lam, nu)
@@ -318,11 +315,8 @@ def omega_on_p(coords, n):
     return out
 
 
-def schur_p_coords(lam, table=None):
+def schur_p_coords(lam, table):
     """Power-sum coordinates of s_lam: chi^lam(nu)/z_nu per nu."""
     lam = check_partition(lam)
-    n = sum(lam)
-    if table is None:
-        table = build_character_table(n)
     return {nu: Fraction(table.value(lam, nu), z_value(nu))
             for nu in table.index}

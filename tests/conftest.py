@@ -1,4 +1,8 @@
+from math import factorial
+
 import pytest
+
+from permfact.counting import series_prefix
 
 
 def _dense(rows):
@@ -11,6 +15,18 @@ def _dense(rows):
     return out
 
 
+def _spectral_counts(mu, k_max):
+    """count_spectral(mu, k) for k = 0 .. k_max from one walk of column
+    mu: the series coefficients c_k/k! times k!."""
+    return [int(c * factorial(k)) for k, c
+            in enumerate(series_prefix(mu, k_max + 1).coefficients)]
+
+
 @pytest.fixture
 def dense():
     return _dense
+
+
+@pytest.fixture
+def spectral_counts():
+    return _spectral_counts

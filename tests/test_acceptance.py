@@ -86,26 +86,25 @@ def test_criterion_04_eigen_relations_to_n12():
           f"({elapsed:.1f}s)")
 
 
-def test_criterion_05_oracle_equivalence():
+def test_criterion_05_oracle_equivalence(spectral_counts):
     start = time.monotonic()
     for n in range(2, 13):
-        table = build_character_table(n)
         index = enumerate_partitions(n)
+        counts = [spectral_counts(mu, 30) for mu in index]
         matrix = build_transition_matrix(n)
         v = [0] * len(index)
         v[0] = 1
         for k in range(31):
             for pos, mu in enumerate(index):
-                assert count_spectral(mu, k, table=table) == v[pos], \
+                assert counts[pos][k] == v[pos], \
                     f"spectral != matrix at n={n}, mu={mu}, k={k}"
             v = matrix_power_apply(matrix, 1, v)
     for n in range(2, 8):
-        table = build_character_table(n)
         _, idx, vecs = walk_distributions(n, 7)
         for mu in enumerate_partitions(n):
             gi = idx[class_representative(mu)]
-            for k in range(8):
-                assert count_spectral(mu, k, table=table) == vecs[k][gi], \
+            for k, c in enumerate(spectral_counts(mu, 7)):
+                assert c == vecs[k][gi], \
                     f"spectral != brute at n={n}, mu={mu}, k={k}"
     elapsed = time.monotonic() - start
     assert elapsed < 120.0
@@ -113,23 +112,20 @@ def test_criterion_05_oracle_equivalence():
           f"spectral = group DP (n <= 7, k <= 7) ({elapsed:.1f}s)")
 
 
-def test_criterion_06_single_cycle_closed_form():
+def test_criterion_06_single_cycle_closed_form(spectral_counts):
     for n in range(1, 11):
-        table = build_character_table(n)
-        for k in range(21):
-            assert count_goulden(n, k) == count_spectral((n,), k, table=table)
+        for k, c in enumerate(spectral_counts((n,), 20)):
+            assert count_goulden(n, k) == c
     print("criterion 6 PASS: single-cycle closed form (n <= 10, k <= 20)")
 
 
-def test_criterion_07_two_cycle_closed_form():
+def test_criterion_07_two_cycle_closed_form(spectral_counts):
     mismatches = []
     for n in range(2, 11):
-        table = build_character_table(n)
         for k_small in range(1, n // 2 + 1):
             m = n - k_small
-            for k in range(13):
+            for k, spectral in enumerate(spectral_counts((m, k_small), 12)):
                 closed = count_two_cycle(m, k_small, k)
-                spectral = count_spectral((m, k_small), k, table=table)
                 if closed != spectral:
                     mismatches.append(((m, k_small), k, closed, spectral))
     assert mismatches == [], f"two-cycle closed form disagreements: {mismatches}"
@@ -190,7 +186,7 @@ def test_criterion_09_differential_operator(dense):
           f"(n <= 5, N in {{n+1, n+2}}) ({elapsed:.1f}s)")
 
 
-def test_criterion_10_structural_properties():
+def test_criterion_10_structural_properties(spectral_counts):
     for n in range(2, 16):
         matrix = build_transition_matrix(n)
         assert row_sums(matrix) == [comb(n, 2)] * len(matrix)
@@ -214,23 +210,20 @@ def test_criterion_10_structural_properties():
             v = matrix_power_apply(matrix, 1, v)
     # and through the spectral formula directly at character-table scale
     for n in range(2, 9):
-        table = build_character_table(n)
         for mu in enumerate_partitions(n):
             dist = n - len(mu)
-            for k in range(17):
-                c = count_spectral(mu, k, table=table)
+            for k, c in enumerate(spectral_counts(mu, 16)):
                 assert (c == 0) == (k < dist or (k - dist) % 2 == 1)
     print("criterion 10 PASS: row sums, bipartite structure, zero "
           "multiplicity, parity census, count parity (n <= 15)")
 
 
-def test_criterion_11_mass_conservation():
+def test_criterion_11_mass_conservation(spectral_counts):
     for n in range(2, 8):
-        table = build_character_table(n)
         index = enumerate_partitions(n)
+        counts = [spectral_counts(mu, 10) for mu in index]
         for k in range(11):
-            total = sum(class_size(mu) * count_spectral(mu, k, table=table)
-                        for mu in index)
+            total = sum(class_size(mu) * c[k] for mu, c in zip(index, counts))
             assert total == comb(n, 2) ** k
     print("criterion 11 PASS: sum over classes equals C(n,2)^k "
           "(n <= 7, k <= 10)")

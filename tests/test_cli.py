@@ -381,12 +381,12 @@ _MODULE_PROBE = (
     "print(*sorted(sys.modules))\n")
 
 
-def _modules_after(*argv):
+def _modules_after(*argv, probe=_MODULE_PROBE):
     """The modules a fresh interpreter holds after importing permfact and
     running argv. It starts without site (-S), so whatever it holds
     beyond the interpreter's own start-up, permfact imported."""
     src = os.path.dirname(os.path.dirname(permfact.__file__))
-    result = subprocess.run([sys.executable, "-S", "-c", _MODULE_PROBE,
+    result = subprocess.run([sys.executable, "-S", "-c", probe,
                              *argv], capture_output=True, text=True,
                             timeout=300, env={**os.environ, "PYTHONPATH": src})
     assert result.returncode == 0, result.stderr
@@ -416,6 +416,14 @@ def test_subcommand_loads_only_its_route(argv, unloaded):
     loaded = _modules_after(*argv)
     assert "permfact.cli" in loaded
     assert not loaded & unloaded, loaded & unloaded
+
+
+def test_symfun_loads_no_characters():
+    # symfun reads the tables its callers pass and builds none
+    loaded = _modules_after(probe="import sys\nimport permfact.symfun\n"
+                            "print(*sorted(sys.modules))\n")
+    assert "permfact.symfun" in loaded
+    assert "permfact.characters" not in loaded
 
 
 def test_package_binds_each_name_from_its_module():

@@ -57,13 +57,10 @@ def test_matrix_walk_wide_band():
         assert count_matrix_method(mu, k) == count_spectral(mu, k)
 
 
-def test_three_way_agreement_small():
+def test_three_way_agreement_small(spectral_counts):
     for n in range(2, 8):
-        table = build_character_table(n)
-        index = enumerate_partitions(n)
-        for mu in index:
-            for k in range(7):
-                s = count_spectral(mu, k, table=table)
+        for mu in enumerate_partitions(n):
+            for k, s in enumerate(spectral_counts(mu, 6)):
                 assert s == count_matrix_method(mu, k)
                 assert s == count_brute(mu, k)
 
@@ -118,11 +115,10 @@ def test_goulden_examples():
                 assert count_goulden(n, k) == 0
 
 
-def test_goulden_matches_spectral():
+def test_goulden_matches_spectral(spectral_counts):
     for n in range(1, 11):
-        table = build_character_table(n)
-        for k in range(21):
-            assert count_goulden(n, k) == count_spectral((n,), k, table=table)
+        for k, s in enumerate(spectral_counts((n,), 20)):
+            assert count_goulden(n, k) == s
 
 
 def test_two_cycle_shape_values_match_recursion():
@@ -145,16 +141,14 @@ def test_two_cycle_shape_values_match_recursion():
                     assert lam in seen, f"{lam} missing from closed form"
 
 
-def test_two_cycle_counts():
+def test_two_cycle_counts(spectral_counts):
     assert count_two_cycle(1, 1, 1) == 0
     assert count_two_cycle(1, 1, 2) == 1
     for n in range(2, 11):
-        table = build_character_table(n)
         for k_small in range(1, n // 2 + 1):
             m = n - k_small
-            for k in range(13):
-                assert count_two_cycle(m, k_small, k) == \
-                    count_spectral((m, k_small), k, table=table)
+            for k, s in enumerate(spectral_counts((m, k_small), 12)):
+                assert count_two_cycle(m, k_small, k) == s
 
 
 def test_two_cycle_validation():
@@ -195,43 +189,40 @@ def test_series_prefix_record():
 
 
 def test_series_parity_collapse():
+    # series and counts read the same column terms;
+    # test_character_column_is_table_support ties each column to the table
     for n in range(2, 9):
-        table = build_character_table(n)
         for mu in enumerate_partitions(n):
-            p = series_prefix(mu, 16, table=table)
-            assert p == series_prefix(mu, 16)  # two columns, no table
+            p = series_prefix(mu, 16)
             live = (n - len(mu)) % 2
             assert p.nonzero_parity == live
             for j, c in enumerate(p.coefficients):
                 if j % 2 != live:
                     assert c == 0
-                assert c * factorial(j) == count_spectral(mu, j, table=table)
+                assert c * factorial(j) == count_spectral(mu, j)
 
 
-def test_count_vanishing_pattern():
+def test_count_vanishing_pattern(spectral_counts):
     for n in range(2, 9):
-        table = build_character_table(n)
         for mu in enumerate_partitions(n):
             dist = n - len(mu)
-            for k in range(17):
-                c = count_spectral(mu, k, table=table)
+            for k, c in enumerate(spectral_counts(mu, 16)):
                 if k < dist or (k - dist) % 2:
                     assert c == 0, (mu, k)
                 else:
                     assert c > 0, (mu, k)
 
 
-def test_mass_conservation():
+def test_mass_conservation(spectral_counts):
     for n in range(2, 8):
-        table = build_character_table(n)
         index = enumerate_partitions(n)
+        counts = [spectral_counts(mu, 10) for mu in index]
         for k in range(11):
-            total = sum(class_size(mu) * count_spectral(mu, k, table=table)
-                        for mu in index)
+            total = sum(class_size(mu) * c[k] for mu, c in zip(index, counts))
             assert total == comb(n, 2) ** k
 
 
-def test_validation_errors():
+def test_validation_errors(monkeypatch):
     with pytest.raises(ValueError, match="n >= 2"):
         count_matrix_method((1,), 0)
     with pytest.raises(ValueError, match="nonnegative"):
@@ -244,27 +235,31 @@ def test_validation_errors():
         series_prefix((2, 1), 0)
     with pytest.raises(ValueError):
         count_spectral((True,), 0)
-    with pytest.raises(ValueError):  # a table of S_5 cannot count in S_4
-        count_spectral((3, 1), 2, table=build_character_table(5))
     with pytest.raises(ValueError):
         count_goulden(0, 1)
     table = build_character_table(4)
     with pytest.raises(ValueError):  # S_4's table without its row 0
-        count_spectral((2, 2), 3, table=CharacterTable(table.index,
-                                                       table.values[1:]))
-    # chi^(2,2)(1^4) = 2 changed to 14: the k = 0 sum would be 1, not 0
+        CharacterTable(table.index, table.values[1:])
+    # chi^(2,2)(1^4) = 2 changed to 14
     values = [list(row) for row in table.values]
     values[2][0] = 14
     with pytest.raises(ValueError, match=r"\(2, 2\).*hook length formula"):
-        count_spectral((2, 2), 0, table=CharacterTable(table.index, values))
-    # chi^(4)((4)) = 1 changed to 2: the k = 0 sum is 1, not a multiple of 4!
-    values = [list(row) for row in table.values]
-    values[-1][-1] += 1
-    tampered = CharacterTable(table.index, values)
-    with pytest.raises(RuntimeError):
-        count_spectral((4,), 0, table=tampered)
-    with pytest.raises(RuntimeError):
-        series_prefix((4,), 3, table=tampered)
+        CharacterTable(table.index, values)
+    # column (4) with chi^(4) and chi^(1^4) swapped keeps both orthogonality
+    # sums, but the k = 3 sum is -480, not a nonnegative multiple of 4!
+    column = characters.character_column
+
+    def swapped(mu):
+        out = column(mu)
+        if mu == (4,):
+            out[(4,)], out[(1, 1, 1, 1)] = out[(1, 1, 1, 1)], out[(4,)]
+        return out
+
+    monkeypatch.setattr(characters, "character_column", swapped)
+    with pytest.raises(RuntimeError, match="-480 is not a nonnegative"):
+        count_spectral((4,), 3)
+    with pytest.raises(RuntimeError, match="-24 is not a nonnegative"):
+        series_prefix((4,), 4)
 
 
 def test_column_path_checks_hook_dimensions(monkeypatch):

@@ -39,6 +39,23 @@ def test_crashed_check_fails_verify(monkeypatch, capsys):
     assert "checks passed" not in capsys.readouterr().out
 
 
+def test_battery_counts_through_the_column_route(monkeypatch):
+    # every column but 1^n negated keeps sum chi^2 and sum f chi, so the
+    # column's own orthogonality checks pass and only the counts go wrong
+    column = characters.character_column
+    monkeypatch.setattr(characters, "character_column",
+                        lambda mu: column(mu) if mu == (1,) * sum(mu) else
+                        {lam: -chi for lam, chi in column(mu).items()})
+    for check in (verify.check_counts_agree, verify.check_goulden,
+                  verify.check_two_cycle, verify.check_parity_vanishing,
+                  verify.check_mass_conservation):
+        try:
+            status = check().status
+        except RuntimeError:
+            continue
+        assert status == "FAIL", check.__name__
+
+
 def test_individual_checks_report_scales():
     r = check_dstar(n_max=2)
     assert r.status == "PASS"
@@ -91,7 +108,7 @@ def test_dstar_faults_are_located(monkeypatch):
         return out + symfun.expand_p((2,), 3) \
             if f == symfun.expand_p((1, 1), 3) else out
 
-    def not_eigen(lam, N, table=None):  # s_21 at N = 4 gains a p_3
+    def not_eigen(lam, N, table):  # s_21 at N = 4 gains a p_3
         out = schur(lam, N, table=table)
         return out + symfun.power_sum(3, 4) if (lam, N) == ((2, 1), 4) \
             else out
