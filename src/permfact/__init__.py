@@ -15,26 +15,23 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "partitions": (
         "enumerate_partitions", "PartitionIndex", "conjugate", "z_value",
-        "class_size", "rho", "hook_lengths", "parity_census",
-        "DEFAULT_MAX_N"),
-    "transition": (
-        "build_transition_matrix", "build_raw_counts",
-        "verify_matrix_equality", "matrix_power_apply",
-        "zero_multiplicity_lower_bound"),
+        "class_size", "rho", "hook_lengths", "DEFAULT_MAX_N"),
+    "transition": ("build_transition_matrix", "matrix_power_apply"),
     "characters": (
-        "mn_character", "enumerate_bst", "bst_signed_count",
-        "dimension_hook_formula", "build_character_table", "CharacterTable"),
+        "mn_character", "dimension_hook_formula", "build_character_table",
+        "CharacterTable"),
     "counting": (
         "count_spectral", "count_matrix_method", "count_goulden",
         "count_two_cycle", "two_cycle_terms", "series_prefix",
         "SeriesPrefix"),
     "oracle": (
-        "cycle_type", "count_brute", "count_tuples", "verify_cut_glue",
-        "verify_class_invariance"),
+        "cycle_type", "count_brute", "count_tuples", "build_raw_counts",
+        "enumerate_bst", "bst_signed_count"),
     "symfun": (
         "Poly", "power_sum", "expand_p", "schur_from_characters",
         "apply_dstar", "matrix_of_dstar", "omega_on_p", "schur_p_coords"),
-    "verify": ("run_battery",),
+    "verify": ("run_battery", "parity_census",
+               "zero_multiplicity_lower_bound"),
 }
 _LAZY = {name: module for module, names in _EXPORTS.items() for name in names}
 

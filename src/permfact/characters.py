@@ -3,19 +3,17 @@
 Shapes are beta-sets held as bitmasks, and one helper slides a bead by
 +r or -r to add or remove a border strip of size r. mn_character peels
 strips recursively; character_column adds them to the empty shape and
-yields column mu over its support only. enumerate_bst generates the
-signed tableaux one by one from the raw definition and exists to keep
-the recursion honest. Dimensions come from hook lengths as a third route.
+yields column mu over its support only. Dimensions come from hook
+lengths as a third route. The raw-definition reference, explicit
+border strip tableaux, is oracle.enumerate_bst.
 """
 
-from collections import namedtuple
 from functools import cache
 from itertools import accumulate
 from math import factorial
 
 from .partitions import enumerate_partitions, check_partition, hook_lengths
 
-BST_MAX_N = 8
 # Most shapes character_column may hold while adding one part. The
 # largest inputs measured fit: (20,15,10,8,5,3,2,1) at n = 64 peaks at
 # 439,482 and (40,30,20,10) at 224,900. (30,25,20,15,10,5,3,2) at
@@ -69,11 +67,12 @@ def _slides(mask, step):
 def mn_character(lam, mu):
     """chi^lam(mu) by recursive border-strip removal.
 
-    Parts of mu are consumed left to right as given; the value does not
-    depend on that order (tested, not assumed).
+    Parts of mu, positive ints in any order, are consumed left to right
+    as given; the value does not depend on that order (tested, not
+    assumed).
     """
     lam = check_partition(lam)
-    mu = tuple(mu)
+    mu = check_partition(mu, ordered=False)
     if sum(lam) != sum(mu):
         raise ValueError(f"size mismatch: |{lam}| != |{mu}|")
     return _mn(_beads(lam), mu)
@@ -115,92 +114,6 @@ def character_column(mu):
                                  f"{COLUMN_MAX_STATES}")
         states = {mask: value for mask, value in grown.items() if value}
     return {_shape(mask): value for mask, value in states.items()}
-
-
-class BorderStripTableau(namedtuple(
-        "BorderStripTableau", "shape content filling height width")):
-    """filling holds the rows of labels, 1-based."""
-    __slots__ = ()
-
-    def sign(self):
-        return -1 if self.height % 2 else 1
-
-
-def enumerate_bst(lam, mu):
-    """All border strip tableaux of shape lam and content mu, generated
-    from the definition: weakly increasing rows and columns, each label
-    edge-connected, no 2x2 block of a single label."""
-    lam = check_partition(lam)
-    mu = tuple(mu)
-    n = sum(lam)
-    if sum(mu) != n:
-        raise ValueError(f"size mismatch: |{lam}| != |{mu}|")
-    if n > BST_MAX_N:
-        raise ValueError(f"tableau enumeration capped at n <= {BST_MAX_N}")
-
-    cells = [(r, c) for r, p in enumerate(lam) for c in range(p)]
-    fill = {}
-    remaining = list(mu)
-    found = []
-
-    def place(pos):
-        if pos == len(cells):
-            tab = tuple(tuple(fill[(r, c)] for c in range(p))
-                        for r, p in enumerate(lam))
-            t = _validate_bst(lam, mu, tab)
-            if t is not None:
-                found.append(t)
-            return
-        r, c = cells[pos]
-        lo = 1
-        if c > 0:
-            lo = max(lo, fill[(r, c - 1)])
-        if r > 0:
-            lo = max(lo, fill[(r - 1, c)])
-        for label in range(lo, len(mu) + 1):
-            if remaining[label - 1] == 0:
-                continue
-            remaining[label - 1] -= 1
-            fill[(r, c)] = label
-            place(pos + 1)
-            del fill[(r, c)]
-            remaining[label - 1] += 1
-
-    place(0)
-    return found
-
-
-def _validate_bst(lam, mu, tab):
-    n = sum(lam)
-    height = 0
-    width = 0
-    for label in range(1, len(mu) + 1):
-        cells = {(r, c) for r, row in enumerate(tab)
-                 for c, v in enumerate(row) if v == label}
-        rows = {r for r, _ in cells}
-        cols = {c for _, c in cells}
-        # edge-connectivity of the strip
-        stack = [next(iter(cells))]
-        seen = {stack[0]}
-        while stack:
-            r, c = stack.pop()
-            for nb in ((r + 1, c), (r - 1, c), (r, c + 1), (r, c - 1)):
-                if nb in cells and nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        if seen != cells:
-            return None
-        # no 2x2 block of one label
-        for r, c in cells:
-            if {(r + 1, c), (r, c + 1), (r + 1, c + 1)} <= cells:
-                return None
-        height += len(rows) - 1
-        width += len(cols) - 1
-    return BorderStripTableau(lam, mu, tab, height, width)
-
-
-def bst_signed_count(lam, mu):
-    return sum(t.sign() for t in enumerate_bst(lam, mu))
 
 
 def dimension_hook_formula(lam):
@@ -250,24 +163,18 @@ def _table_rows(index):
 
 
 def build_character_table(n):
-    """Full character table via the strip recursion. The first column is
-    cross-checked against the hook length formula for every row, before
-    CharacterTable checks it as input, so a fault here is a RuntimeError."""
+    """Full character table via the strip recursion. CharacterTable checks
+    its first column against the hook length formula; a table built here
+    that fails is a fault of the builder, raised as RuntimeError."""
     index = enumerate_partitions(n)
     values = _table_rows(index)
-    require_hook_dimensions(index, [row[0] for row in values])
-    return CharacterTable(index, values)
+    try:
+        return CharacterTable(index, values)
+    except ValueError as exc:
+        raise RuntimeError(f"strip recursion: {exc}") from exc
 
 
 def dimension_offenders(index, dims):
     """Shapes lam whose entry in dims differs from the hook length formula."""
     return [lam for lam, dim in zip(index, dims)
             if dim != dimension_hook_formula(lam)]
-
-
-def require_hook_dimensions(index, dims):
-    """Raise RuntimeError if any of dims disagrees with the hook formula."""
-    bad = dimension_offenders(index, dims)
-    if bad:
-        raise RuntimeError(f"strip recursion and hook formula disagree "
-                           f"on the dimension of {bad[0]}")

@@ -1,25 +1,30 @@
-"""Ground-truth counting by direct work in the symmetric group.
+"""Ground truth from raw definitions, by direct work in the symmetric group.
 
-Nothing here touches characters or the partition-graph matrix: counts
-come from dynamic programming over all n! group elements, or from
-literal enumeration of transposition tuples. Permutations are tuples
-of images in one-line notation on {0, ..., n-1}, composed as
+Nothing here touches characters or the partition-graph matrix: this
+module imports neither `characters` nor `transition`, and each reference
+comes from its definition alone. count_brute runs dynamic programming
+over all n! group elements and count_tuples enumerates transposition
+tuples literally. build_raw_counts tallies the entries of A_n by acting
+with every transposition on one element of each class. enumerate_bst
+lists border strip tableaux cell by cell, the definition that the
+strip recursion for characters is checked against. Permutations are
+tuples of images in one-line notation on {0, ..., n-1}, composed as
 (p * q)(x) = p(q(x)).
 
 count_brute walks S_n once per n, up to BRUTE_MAX_K, and keeps only
 the counts at one element of each cycle type.
 """
 
+from collections import Counter, namedtuple
 from functools import cache
 from itertools import permutations as _all_perms, product as _product
 
-from .partitions import BRUTE_MAX_N, BRUTE_MAX_K
+from .partitions import (enumerate_partitions, check_partition,
+                         BRUTE_MAX_N, BRUTE_MAX_K)
 
 TUPLE_MAX_N = 4
 TUPLE_MAX_K = 5
-CUT_GLUE_MAX_N = 8
-CLASS_MAX_N = 6
-CLASS_MAX_K = 8
+BST_MAX_N = 8
 
 
 def identity(n):
@@ -140,40 +145,103 @@ def count_tuples(mu, k):
     return total
 
 
-def verify_cut_glue(n):
-    """Exhaustively check that a transposition (i j) cuts a cycle of alpha
-    when i and j share a cycle, and glues two cycles otherwise."""
-    if n > CUT_GLUE_MAX_N:
-        raise ValueError(f"cut/glue check capped at n <= {CUT_GLUE_MAX_N}")
-    # transpositions(n) lists (i j) in this same order
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    taus = list(zip(pairs, transpositions(n)))
-    for alpha in _all_perms(range(n)):
-        before = len(_cycle_lengths(alpha))
-        for (i, j), t in taus:
-            same = _same_cycle(alpha, i, j)
-            after = len(_cycle_lengths(compose(t, alpha)))
-            if after != (before + 1 if same else before - 1):
-                return False
-    return True
+def build_raw_counts(n):
+    """Transition counts tallied by acting with every transposition on a
+    fixed representative of each class. Row t, column s: moves t -> s."""
+    if n < 2:
+        raise ValueError("raw counts need n >= 2")
+    index = enumerate_partitions(n)
+    taus = transpositions(n)
+    rows = []
+    for t in index:
+        alpha = class_representative(t)
+        tally = Counter(index.rank[cycle_type(compose(tau, alpha))]
+                        for tau in taus)
+        rows.append(sorted(tally.items()))
+    return rows
 
 
-def _same_cycle(p, i, j):
-    x = p[i]
-    while x != i:
-        if x == j:
-            return True
-        x = p[x]
-    return False
+class BorderStripTableau(namedtuple(
+        "BorderStripTableau", "shape content filling height width")):
+    """filling holds the rows of labels, 1-based."""
+    __slots__ = ()
+
+    def sign(self):
+        return -1 if self.height % 2 else 1
 
 
-def verify_class_invariance(n, k):
-    """Check that factorization counts are constant on conjugacy classes."""
-    if n > CLASS_MAX_N or k > CLASS_MAX_K:
-        raise ValueError(f"class invariance check capped at n <= {CLASS_MAX_N}, "
-                         f"k <= {CLASS_MAX_K}")
-    elements, index, vecs = walk_distributions(n, k)
-    per_class = {}
-    for g in elements:
-        per_class.setdefault(cycle_type(g), set()).add(vecs[k][index[g]])
-    return all(len(vals) == 1 for vals in per_class.values())
+def enumerate_bst(lam, mu):
+    """All border strip tableaux of shape lam and content mu, generated
+    from the definition: weakly increasing rows and columns, each label
+    edge-connected, no 2x2 block of a single label. The parts of mu may
+    come in any order."""
+    lam = check_partition(lam)
+    mu = check_partition(mu, ordered=False)
+    n = sum(lam)
+    if sum(mu) != n:
+        raise ValueError(f"size mismatch: |{lam}| != |{mu}|")
+    if n > BST_MAX_N:
+        raise ValueError(f"tableau enumeration capped at n <= {BST_MAX_N}")
+
+    cells = [(r, c) for r, p in enumerate(lam) for c in range(p)]
+    fill = {}
+    remaining = list(mu)
+    found = []
+
+    def place(pos):
+        if pos == len(cells):
+            tab = tuple(tuple(fill[(r, c)] for c in range(p))
+                        for r, p in enumerate(lam))
+            t = _validate_bst(lam, mu, tab)
+            if t is not None:
+                found.append(t)
+            return
+        r, c = cells[pos]
+        lo = 1
+        if c > 0:
+            lo = max(lo, fill[(r, c - 1)])
+        if r > 0:
+            lo = max(lo, fill[(r - 1, c)])
+        for label in range(lo, len(mu) + 1):
+            if remaining[label - 1] == 0:
+                continue
+            remaining[label - 1] -= 1
+            fill[(r, c)] = label
+            place(pos + 1)
+            del fill[(r, c)]
+            remaining[label - 1] += 1
+
+    place(0)
+    return found
+
+
+def _validate_bst(lam, mu, tab):
+    height = 0
+    width = 0
+    for label in range(1, len(mu) + 1):
+        cells = {(r, c) for r, row in enumerate(tab)
+                 for c, v in enumerate(row) if v == label}
+        rows = {r for r, _ in cells}
+        cols = {c for _, c in cells}
+        # edge-connectivity of the strip
+        stack = [next(iter(cells))]
+        seen = {stack[0]}
+        while stack:
+            r, c = stack.pop()
+            for nb in ((r + 1, c), (r - 1, c), (r, c + 1), (r, c - 1)):
+                if nb in cells and nb not in seen:
+                    seen.add(nb)
+                    stack.append(nb)
+        if seen != cells:
+            return None
+        # no 2x2 block of one label
+        for r, c in cells:
+            if {(r + 1, c), (r, c + 1), (r + 1, c + 1)} <= cells:
+                return None
+        height += len(rows) - 1
+        width += len(cols) - 1
+    return BorderStripTableau(lam, mu, tab, height, width)
+
+
+def bst_signed_count(lam, mu):
+    return sum(t.sign() for t in enumerate_bst(lam, mu))

@@ -17,14 +17,17 @@ BRUTE_MAX_N = 7
 BRUTE_MAX_K = 16
 
 
-def check_partition(lam):
-    """Validate that lam is a weakly decreasing tuple of positive ints (no bools)."""
+def check_partition(lam, ordered=True):
+    """Validate that lam is a nonempty tuple of positive ints (no bools),
+    weakly decreasing unless ordered is false, as a cycle type may be."""
     lam = tuple(lam)
     if not lam:
         raise ValueError("partition must be nonempty")
     for p in lam:
         if isinstance(p, bool) or not isinstance(p, int) or p < 1:
             raise ValueError(f"invalid part {p!r} in {lam}")
+    if not ordered:
+        return lam
     for a, b in zip(lam, lam[1:]):
         if a < b:
             raise ValueError(f"parts not weakly decreasing: {lam}")
@@ -137,18 +140,3 @@ def hook_lengths(lam):
     conj = conjugate(lam)
     return [lam[r] - c + conj[c] - r - 1
             for r, p in enumerate(lam) for c in range(p)]
-
-
-def parity_census(n):
-    """Counts of (even-length, odd-length, self-conjugate) partitions of n.
-
-    For n > 2 the even/odd counts differ by exactly the number of
-    self-conjugate partitions; this is checked here.
-    """
-    index = enumerate_partitions(n)
-    evens = sum(1 for lam in index if len(lam) % 2 == 0)
-    odds = len(index) - evens
-    self_conj = sum(1 for lam in index if lam == conjugate(lam))
-    if n > 2 and abs(evens - odds) != self_conj:
-        raise RuntimeError(f"parity census identity fails at n={n}")
-    return evens, odds, self_conj

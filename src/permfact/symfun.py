@@ -4,8 +4,8 @@ Polynomials live in a fixed number of variables N, stored as
 exponent-tuple -> coefficient maps. Coefficients are kept as given:
 power sums, Schur polynomials and the operator's images are integer
 polynomials, so they hold ints. Fraction appears only where values are
-rational: power-sum coordinates and the solve that finds them, and
-evaluation at a point. The operator
+rational: power-sum coordinates and the solve that finds them. The
+operator
 
     D f = sum_i x_i^2 d^2f/dx_i^2
         + sum_{i != j} (x_i^2 df/dx_i - x_j^2 df/dx_j) / (x_i - x_j)
@@ -20,7 +20,7 @@ at x_i = x_j, and this is checked for every pair (i, j).
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from math import factorial, lcm
 from operator import add
 
@@ -87,15 +87,6 @@ class Poly:
     def scale(self, value):
         return Poly(self.N, {e: c * value for e, c in self.terms.items()})
 
-    def diff(self, i):
-        out = {}
-        for exps, c in self.terms.items():
-            if exps[i]:
-                e = list(exps)
-                e[i] -= 1
-                out[tuple(e)] = c * exps[i]
-        return Poly(self.N, out)
-
     def swap(self, i, j):
         out = {}
         for exps, c in self.terms.items():
@@ -103,15 +94,6 @@ class Poly:
             e[i], e[j] = e[j], e[i]
             out[tuple(e)] = c
         return Poly(self.N, out)
-
-    def evaluate(self, point):
-        total = Fraction(0)
-        for exps, c in self.terms.items():
-            v = c
-            for x, e in zip(point, exps):
-                v *= Fraction(x) ** e
-            total += v
-        return total
 
     def __repr__(self):
         return f"Poly(N={self.N}, {len(self.terms)} terms)"
@@ -145,28 +127,6 @@ def _expand_p(lam, N):
     for part in lam:
         out = out * power_sum(part, N)
     return out
-
-
-def complete_homogeneous(n, N):
-    """h_n: every degree-n monomial once."""
-    out = {}
-    for combo in combinations_with_replacement(range(N), n):
-        e = [0] * N
-        for i in combo:
-            e[i] += 1
-        out[tuple(e)] = 1
-    return Poly(N, out)
-
-
-def elementary(n, N):
-    """e_n: every squarefree degree-n monomial once."""
-    out = {}
-    for combo in combinations(range(N), n):
-        e = [0] * N
-        for i in combo:
-            e[i] = 1
-        out[tuple(e)] = 1
-    return Poly(N, out)
 
 
 def schur_from_characters(lam, N, table):

@@ -29,16 +29,12 @@ P[x] = 2^(b*x), a move is integer arithmetic on the key:
 
 and 1^n is n*P[1]. A move changes the number of parts by exactly one,
 so a walk with j steps left can reach 1^n only from shapes s with
-len(s) + j >= n; walk_row keeps only those. build_raw_counts
-constructs the matrix the literal way instead and is the oracle for
-the move rule.
+len(s) + j >= n; walk_row keeps only those. oracle.build_raw_counts
+constructs the matrix the literal way instead and is the reference for
+the move rule; verify holds the comparisons.
 """
 
-from collections import Counter
-from math import factorial
-
-from .partitions import (enumerate_partitions, conjugate, class_size,
-                         z_value, rho)
+from .partitions import enumerate_partitions
 
 
 def _slot_powers(n):
@@ -131,48 +127,6 @@ def walk_row(mu, k):
     return v.get(n, {}).get(n * P[1], 0)
 
 
-def build_raw_counts(n):
-    """Transition counts tallied by acting with every transposition on a
-    fixed representative of each class. Row t, column s: moves t -> s."""
-    from .oracle import (class_representative, transpositions, compose,
-                         cycle_type)
-    if n < 2:
-        raise ValueError("raw counts need n >= 2")
-    index = enumerate_partitions(n)
-    taus = transpositions(n)
-    rows = []
-    for t in index:
-        alpha = class_representative(t)
-        tally = Counter(index.rank[cycle_type(compose(tau, alpha))]
-                        for tau in taus)
-        rows.append(sorted(tally.items()))
-    return rows
-
-
-def matrix_equality_offenders(n):
-    """Entries where the move-rule matrix and the raw tally disagree, plus
-    violations of the double-counting identity t_{ls}*|C_l| = t_{sl}*|C_s|."""
-    index = enumerate_partitions(n)
-    formula = [Counter(dict(row)) for row in build_transition_matrix(n)]
-    raw = [Counter(dict(row)) for row in build_raw_counts(n)]
-    sizes = [class_size(lam) for lam in index]
-    # every cell where a compared entry may be nonzero, in row-major order
-    cells = {(a, b) for m in (formula, raw) for a, r in enumerate(m) for b in r}
-    bad = []
-    for a, b in sorted(cells | {(b, a) for a, b in cells}):
-        if formula[a][b] != raw[a][b]:
-            bad.append(("entry", index.ordered[a], index.ordered[b],
-                        formula[a][b], raw[a][b]))
-        if raw[a][b] * sizes[a] != raw[b][a] * sizes[b]:
-            bad.append(("double-count", index.ordered[a], index.ordered[b],
-                        raw[a][b] * sizes[a], raw[b][a] * sizes[b]))
-    return bad
-
-
-def verify_matrix_equality(n):
-    return not matrix_equality_offenders(n)
-
-
 def matrix_power_apply(matrix, k, vec):
     """Exact A^k v by repeated sparse matrix-vector products."""
     if k < 0:
@@ -183,83 +137,3 @@ def matrix_power_apply(matrix, k, vec):
     for _ in range(k):
         v = [sum(val * v[j] for j, val in row) for row in matrix]
     return v
-
-
-def row_sums(matrix):
-    return [sum(v for _, v in row) for row in matrix]
-
-
-def bipartite_offenders(n, matrix=None):
-    """Stored entries between partitions whose lengths do not differ by 1."""
-    index = enumerate_partitions(n)
-    if matrix is None:
-        matrix = build_transition_matrix(n)
-    _require_rows(matrix, index)
-    return [(t, index.ordered[b], v)
-            for t, row in zip(index, matrix) for b, v in row
-            if abs(len(t) - len(index.ordered[b])) != 1]
-
-
-def zero_multiplicity_lower_bound(n):
-    """Number of self-conjugate partitions of n, each contributing a zero
-    eigenvalue. Cross-checked: every self-conjugate partition has rho = 0."""
-    index = enumerate_partitions(n)
-    self_conj = [lam for lam in index if lam == conjugate(lam)]
-    for lam in self_conj:
-        if rho(lam) != 0:
-            raise RuntimeError(f"self-conjugate {lam} has nonzero content sum")
-    return len(self_conj)
-
-
-def _require_rows(matrix, index):
-    if len(matrix) != len(index):
-        raise ValueError(f"matrix has {len(matrix)} rows, not "
-                         f"p({index.n}) = {len(index)}")
-
-
-def _operands(n, matrix, table):
-    """A_n and S_n's character table: built, or the caller's sized for n."""
-    from .characters import build_character_table
-    table = build_character_table(n) if table is None else table
-    if table.n != n:
-        raise ValueError(f"character table is for n = {table.n}, not {n}")
-    matrix = build_transition_matrix(n) if matrix is None else matrix
-    _require_rows(matrix, table.index)
-    return matrix, table
-
-
-def eigen_mismatches(n, matrix=None, table=None):
-    """Locations (lam, nu) where A u_lam = rho_lam u_lam fails, with
-    u_lam(nu) the irreducible character values along row lam."""
-    matrix, table = _operands(n, matrix, table)
-    index = table.index
-    bad = []
-    for lam in index:
-        u = table.row(lam)
-        lhs = [sum(val * u[j] for j, val in row) for row in matrix]
-        bad += _first_mismatch(lam, index, lhs, u)
-    return bad
-
-
-def dual_eigen_mismatches(n, matrix=None, table=None):
-    """Same for the transpose, A^T w = rho w with w_nu = chi(nu)/z_nu, in
-    integers scaled by n!; A^T w is scattered from the rows of A."""
-    matrix, table = _operands(n, matrix, table)
-    index = table.index
-    nfact = factorial(n)
-    weights = [nfact // z_value(nu) for nu in index]
-    bad = []
-    for lam in index:
-        w = [x * y for x, y in zip(table.row(lam), weights)]
-        lhs = [0] * len(index)
-        for s_pos, row in enumerate(matrix):
-            for t_pos, val in row:
-                lhs[t_pos] += val * w[s_pos]
-        bad += _first_mismatch(lam, index, lhs, w)
-    return bad
-
-
-def _first_mismatch(lam, index, lhs, vec):
-    """[(lam, nu)] for the first nu where lhs != rho(lam) * vec, else []."""
-    r = rho(lam)
-    return [(lam, nu) for nu, x, y in zip(index, lhs, vec) if x != r * y][:1]

@@ -3,33 +3,154 @@ checked at configurable scale in exact arithmetic.
 
 Each check returns a CheckResult; run_battery collects all of them.
 Default scales keep the battery under a minute; deep mode raises the
-ceilings to the full ranges the test suite also pins.
+ceilings to the full ranges the test suite also pins. The comparisons
+the checks run (move rule against raw tally, eigen relations, matrix
+structure, parity census) live here too: the route modules hold only
+what a count, a series, a matrix or a table runs, and oracle holds the
+raw-definition references.
 """
 
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import permutations as _perms
 from math import comb, factorial
 
 from . import oracle, transition, symfun
-from .characters import (build_character_table, bst_signed_count,
-                         character_column, dimension_offenders, mn_character,
-                         BST_MAX_N)
+from .characters import (build_character_table, character_column,
+                         dimension_offenders, mn_character)
 from .counting import (count_goulden, count_two_cycle, _expansion,
                        _spectral_terms)
 from .partitions import (enumerate_partitions, conjugate, class_size, rho,
-                         z_value, parity_census)
+                         z_value)
 
 
-@dataclass
-class CheckResult:
-    name: str
-    status: str  # PASS / FAIL
-    detail: str
+class CheckResult(namedtuple("CheckResult", "name status detail")):
+    """status is PASS or FAIL."""
+    __slots__ = ()
 
 
 def _result(name, ok, detail):
     return CheckResult(name, "PASS" if ok else "FAIL", detail)
+
+
+# ---------------------------------------------------------------------------
+# comparisons behind the checks
+
+
+def parity_census(n):
+    """Counts of (even-length, odd-length, self-conjugate) partitions of n.
+
+    For n > 2 the even/odd counts differ by exactly the number of
+    self-conjugate partitions; this is checked here.
+    """
+    index = enumerate_partitions(n)
+    evens = sum(1 for lam in index if len(lam) % 2 == 0)
+    odds = len(index) - evens
+    self_conj = sum(1 for lam in index if lam == conjugate(lam))
+    if n > 2 and abs(evens - odds) != self_conj:
+        raise RuntimeError(f"parity census identity fails at n={n}")
+    return evens, odds, self_conj
+
+
+def matrix_equality_offenders(n):
+    """Entries where the move-rule matrix and the raw tally disagree, plus
+    violations of the double-counting identity t_{ls}*|C_l| = t_{sl}*|C_s|."""
+    index = enumerate_partitions(n)
+    formula = [Counter(dict(row))
+               for row in transition.build_transition_matrix(n)]
+    raw = [Counter(dict(row)) for row in oracle.build_raw_counts(n)]
+    sizes = [class_size(lam) for lam in index]
+    # every cell where a compared entry may be nonzero, in row-major order
+    cells = {(a, b) for m in (formula, raw) for a, r in enumerate(m) for b in r}
+    bad = []
+    for a, b in sorted(cells | {(b, a) for a, b in cells}):
+        if formula[a][b] != raw[a][b]:
+            bad.append(("entry", index.ordered[a], index.ordered[b],
+                        formula[a][b], raw[a][b]))
+        if raw[a][b] * sizes[a] != raw[b][a] * sizes[b]:
+            bad.append(("double-count", index.ordered[a], index.ordered[b],
+                        raw[a][b] * sizes[a], raw[b][a] * sizes[b]))
+    return bad
+
+
+def row_sums(matrix):
+    return [sum(v for _, v in row) for row in matrix]
+
+
+def bipartite_offenders(n, matrix):
+    """Stored entries between partitions whose lengths do not differ by 1."""
+    index = enumerate_partitions(n)
+    _require_rows(matrix, index)
+    return [(t, index.ordered[b], v)
+            for t, row in zip(index, matrix) for b, v in row
+            if abs(len(t) - len(index.ordered[b])) != 1]
+
+
+def zero_multiplicity_lower_bound(n):
+    """Number of self-conjugate partitions of n, each contributing a zero
+    eigenvalue. Cross-checked: every self-conjugate partition has rho = 0."""
+    index = enumerate_partitions(n)
+    self_conj = [lam for lam in index if lam == conjugate(lam)]
+    for lam in self_conj:
+        if rho(lam) != 0:
+            raise RuntimeError(f"self-conjugate {lam} has nonzero content sum")
+    return len(self_conj)
+
+
+def _require_rows(matrix, index):
+    if len(matrix) != len(index):
+        raise ValueError(f"matrix has {len(matrix)} rows, not "
+                         f"p({index.n}) = {len(index)}")
+
+
+def _require_operands(n, matrix, table):
+    """Refuse A_n or S_n's character table when either is sized for
+    another n: the comparison would pass, report bogus mismatches or die
+    on an index."""
+    if table.n != n:
+        raise ValueError(f"character table is for n = {table.n}, not {n}")
+    _require_rows(matrix, table.index)
+
+
+def eigen_mismatches(n, matrix, table):
+    """Locations (lam, nu) where A u_lam = rho_lam u_lam fails, with
+    u_lam(nu) the irreducible character values along row lam."""
+    _require_operands(n, matrix, table)
+    index = table.index
+    bad = []
+    for lam in index:
+        u = table.row(lam)
+        lhs = [sum(val * u[j] for j, val in row) for row in matrix]
+        bad += _first_mismatch(lam, index, lhs, u)
+    return bad
+
+
+def dual_eigen_mismatches(n, matrix, table):
+    """Same for the transpose, A^T w = rho w with w_nu = chi(nu)/z_nu, in
+    integers scaled by n!; A^T w is scattered from the rows of A."""
+    _require_operands(n, matrix, table)
+    index = table.index
+    nfact = factorial(n)
+    weights = [nfact // z_value(nu) for nu in index]
+    bad = []
+    for lam in index:
+        w = [x * y for x, y in zip(table.row(lam), weights)]
+        lhs = [0] * len(index)
+        for s_pos, row in enumerate(matrix):
+            for t_pos, val in row:
+                lhs[t_pos] += val * w[s_pos]
+        bad += _first_mismatch(lam, index, lhs, w)
+    return bad
+
+
+def _first_mismatch(lam, index, lhs, vec):
+    """[(lam, nu)] for the first nu where lhs != rho(lam) * vec, else []."""
+    r = rho(lam)
+    return [(lam, nu) for nu, x, y in zip(index, lhs, vec) if x != r * y][:1]
+
+
+# ---------------------------------------------------------------------------
+# the checks
 
 
 def check_rho_symmetries(n_max=15):
@@ -62,7 +183,7 @@ def check_census(n_max=15):
 
 def check_matrix_vs_raw(n_max=8):
     for n in range(2, n_max + 1):
-        bad = transition.matrix_equality_offenders(n)
+        bad = matrix_equality_offenders(n)
         if bad:
             return _result("matrix-vs-raw", False, f"n={n}: {bad[0]}")
     return _result("matrix-vs-raw", True, f"n <= {n_max}")
@@ -72,13 +193,13 @@ def check_matrix_structure(n_max=15):
     for n in range(2, n_max + 1):
         mat = transition.build_transition_matrix(n)
         expect = comb(n, 2)
-        if any(s != expect for s in transition.row_sums(mat)):
+        if any(s != expect for s in row_sums(mat)):
             return _result("matrix-structure", False, f"row sum at n={n}")
-        if transition.bipartite_offenders(n, mat):
+        if bipartite_offenders(n, mat):
             return _result("matrix-structure", False, f"bipartite at n={n}")
         index = enumerate_partitions(n)
         zeros = sum(1 for lam in index if rho(lam) == 0)
-        if zeros < transition.zero_multiplicity_lower_bound(n):
+        if zeros < zero_multiplicity_lower_bound(n):
             return _result("matrix-structure", False, f"zero mult at n={n}")
         rhos = sorted(rho(lam) for lam in index)
         if rhos != sorted(-r for r in rhos):
@@ -90,10 +211,10 @@ def check_eigen_relations(n_max=10):
     for n in range(2, n_max + 1):
         table = build_character_table(n)
         mat = transition.build_transition_matrix(n)
-        bad = transition.eigen_mismatches(n, matrix=mat, table=table)
+        bad = eigen_mismatches(n, mat, table)
         if bad:
             return _result("eigen-relations", False, f"n={n}: A u at {bad[0]}")
-        bad = transition.dual_eigen_mismatches(n, matrix=mat, table=table)
+        bad = dual_eigen_mismatches(n, mat, table)
         if bad:
             return _result("eigen-relations", False, f"n={n}: A^T w at {bad[0]}")
     return _result("eigen-relations", True, f"n <= {n_max}")
@@ -135,12 +256,12 @@ def check_character_table(n_max=10):
 
 
 def check_mn_vs_tableaux(n_max=6):
-    n_max = min(n_max, BST_MAX_N)
+    n_max = min(n_max, oracle.BST_MAX_N)
     for n in range(1, n_max + 1):
         index = enumerate_partitions(n)
         for lam in index:
             for mu in index:
-                if bst_signed_count(lam, mu) != mn_character(lam, mu):
+                if oracle.bst_signed_count(lam, mu) != mn_character(lam, mu):
                     return _result("strip-recursion-vs-tableaux", False,
                                    f"({lam}, {mu})")
     return _result("strip-recursion-vs-tableaux", True, f"n <= {n_max}")

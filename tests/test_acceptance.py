@@ -9,17 +9,18 @@ import time
 from fractions import Fraction
 from math import comb, factorial
 
-from permfact.characters import (build_character_table, bst_signed_count,
+from permfact.characters import (build_character_table,
                                  dimension_hook_formula, mn_character)
 from permfact.counting import (count_spectral, count_goulden,
                                count_two_cycle)
-from permfact.oracle import class_representative, walk_distributions
+from permfact.oracle import (bst_signed_count, class_representative,
+                             walk_distributions)
 from permfact.partitions import (enumerate_partitions, conjugate, class_size,
-                                 parity_census, rho, z_value)
-from permfact.transition import (build_transition_matrix, bipartite_offenders,
-                                 dual_eigen_mismatches, eigen_mismatches,
-                                 matrix_power_apply, row_sums,
-                                 zero_multiplicity_lower_bound)
+                                 rho, z_value)
+from permfact.transition import build_transition_matrix, matrix_power_apply
+from permfact.verify import (bipartite_offenders, dual_eigen_mismatches,
+                             eigen_mismatches, parity_census, row_sums,
+                             zero_multiplicity_lower_bound)
 
 A4_EXPECTED = [[0, 6, 0, 0, 0],
                [1, 0, 1, 4, 0],

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from permfact import characters
-from permfact.characters import (BorderStripTableau, mn_character,
-                                 enumerate_bst, bst_signed_count,
-                                 dimension_hook_formula,
+from permfact.characters import (mn_character, dimension_hook_formula,
                                  build_character_table, character_column)
+from permfact.oracle import BorderStripTableau, enumerate_bst, bst_signed_count
 from permfact.partitions import enumerate_partitions, conjugate, z_value
 
 
@@ -41,6 +40,26 @@ def test_mn_size_mismatch():
         mn_character((2, 1), (2, 2))
     with pytest.raises(ValueError):
         enumerate_bst((2, 1), (4,))
+
+
+@pytest.mark.parametrize("call, part", [
+    (lambda: mn_character((2, 1, 1), (2, -1, 3)), "-1"),
+    (lambda: mn_character((4,), (5, -1)), "-1"),
+    (lambda: mn_character((3, 1), (True, 3)), "True"),
+    (lambda: mn_character((4,), (4, 0)), "0"),
+    (lambda: mn_character((3,), (1.0, 2)), "1.0"),
+    (lambda: enumerate_bst((2, 1), (2, 1, 0)), "0"),
+    (lambda: enumerate_bst((2, 1), (True, 2)), "True"),
+])
+def test_malformed_cycle_types_are_rejected(call, part):
+    with pytest.raises(ValueError, match=rf"^invalid part {part} in "):
+        call()
+
+
+def test_cycle_type_parts_in_any_order():
+    # the part check must not reject an unsorted mu
+    assert mn_character((2, 2), (1, 2, 1)) == mn_character((2, 2), (2, 1, 1))
+    assert bst_signed_count((2, 1), (1, 2)) == mn_character((2, 1), (2, 1))
 
 
 def test_bst_examples():
@@ -109,6 +128,17 @@ def test_dimension_two_hook_shapes():
                   * a * c * (a - c) * (b - d)
                   // ((a + b) * (a + d) * (b + c) * (c + d)))
         assert dimension_hook_formula(lam) == expect
+
+
+def test_builder_dimension_fault_is_a_runtime_error(monkeypatch):
+    # the builder's own table failing the hook check is its fault, not
+    # bad input, so it is not the ValueError a caller's table gets
+    hook = characters.dimension_hook_formula
+    monkeypatch.setattr(characters, "dimension_hook_formula",
+                        lambda lam: hook(lam) + (lam == (2, 1, 1)))
+    build_character_table(3)
+    with pytest.raises(RuntimeError, match=r"dimension of \(2, 1, 1\)"):
+        build_character_table(4)
 
 
 def test_first_column_and_burnside():

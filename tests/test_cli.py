@@ -418,12 +418,38 @@ def test_subcommand_loads_only_its_route(argv, unloaded):
     assert not loaded & unloaded, loaded & unloaded
 
 
+def _modules_importing(module):
+    """The modules a fresh interpreter holds after `import module`."""
+    return _modules_after(probe=f"import sys\nimport {module}\n"
+                          "print(*sorted(sys.modules))\n")
+
+
 def test_symfun_loads_no_characters():
     # symfun reads the tables its callers pass and builds none
-    loaded = _modules_after(probe="import sys\nimport permfact.symfun\n"
-                            "print(*sorted(sys.modules))\n")
+    loaded = _modules_importing("permfact.symfun")
     assert "permfact.symfun" in loaded
     assert "permfact.characters" not in loaded
+
+
+@pytest.mark.parametrize("route", ["transition", "characters"])
+def test_route_module_loads_only_partitions(route):
+    # the references and comparisons that check a route live in oracle
+    # and verify, so a route loads nothing it does not run
+    loaded = _modules_importing(f"permfact.{route}")
+    assert {m for m in loaded if m.startswith("permfact.")} == \
+        {f"permfact.{route}", "permfact.partitions"}
+
+
+def test_oracle_loads_no_route():
+    loaded = _modules_importing("permfact.oracle")
+    assert "permfact.oracle" in loaded
+    assert not loaded & {"permfact.characters", "permfact.transition"}
+
+
+def test_battery_loads_no_dataclasses():
+    loaded = _modules_importing("permfact.verify")
+    assert "permfact.verify" in loaded
+    assert "dataclasses" not in loaded
 
 
 def test_package_binds_each_name_from_its_module():

@@ -7,8 +7,9 @@ from hypothesis import given, strategies as st
 
 from permfact import partitions
 from permfact.partitions import (enumerate_partitions, conjugate, z_value,
-                                 class_size, rho, hook_lengths, parity_census,
+                                 class_size, rho, hook_lengths,
                                  check_partition, PartitionIndex)
+from permfact.verify import parity_census
 
 
 @st.composite

@@ -1,16 +1,60 @@
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from permfact.characters import CharacterTable, build_character_table
 from permfact.partitions import enumerate_partitions, conjugate, rho, z_value
-from permfact.symfun import (Poly, power_sum, expand_p, complete_homogeneous,
-                             elementary, schur_from_characters, is_symmetric,
+from permfact.symfun import (Poly, power_sum, expand_p,
+                             schur_from_characters, is_symmetric,
                              apply_dstar, matrix_of_dstar, p_basis_coords,
                              omega_on_p, schur_p_coords,
                              _divide_by_difference)
 from permfact.transition import build_transition_matrix
+
+
+def _diff(f, i):
+    """d f / d x_i."""
+    out = {}
+    for exps, c in f.terms.items():
+        if exps[i]:
+            e = list(exps)
+            e[i] -= 1
+            out[tuple(e)] = c * exps[i]
+    return Poly(f.N, out)
+
+
+def _evaluate(f, point):
+    total = Fraction(0)
+    for exps, c in f.terms.items():
+        v = c
+        for x, e in zip(point, exps):
+            v *= Fraction(x) ** e
+        total += v
+    return total
+
+
+def _complete_homogeneous(n, N):
+    """h_n: every degree-n monomial once."""
+    out = {}
+    for combo in combinations_with_replacement(range(N), n):
+        e = [0] * N
+        for i in combo:
+            e[i] += 1
+        out[tuple(e)] = 1
+    return Poly(N, out)
+
+
+def _elementary(n, N):
+    """e_n: every squarefree degree-n monomial once."""
+    out = {}
+    for combo in combinations(range(N), n):
+        e = [0] * N
+        for i in combo:
+            e[i] = 1
+        out[tuple(e)] = 1
+    return Poly(N, out)
 
 
 def test_power_sum_expansions():
@@ -18,7 +62,7 @@ def test_power_sum_expansions():
     assert p1.terms == {(1, 0): 1, (0, 1): 1}
     p11 = expand_p((1, 1), 2)
     assert p11.terms == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
-    assert expand_p((2, 1), 3).evaluate([1, 1, 1]) == 9
+    assert _evaluate(expand_p((2, 1), 3), [1, 1, 1]) == 9
 
 
 def test_symmetry_detection():
@@ -66,8 +110,8 @@ def _reference_dstar(f):
     for i in range(N):
         for j in range(N):
             if i != j:
-                g = Poly.variable(N, i, 2) * f.diff(i) \
-                    - Poly.variable(N, j, 2) * f.diff(j)
+                g = Poly.variable(N, i, 2) * _diff(f, i) \
+                    - Poly.variable(N, j, 2) * _diff(f, j)
                 q = Poly(N, _divide_by_difference(g.terms, i, j))
                 assert (Poly.variable(N, i) - Poly.variable(N, j)) * q == g
                 out = out + q
@@ -104,8 +148,9 @@ def test_dstar_on_p1_and_constants():
 def test_schur_polynomials():
     table = build_character_table(3)
     assert schur_from_characters((3,), 4, table=table) == \
-        complete_homogeneous(3, 4)
-    assert schur_from_characters((1, 1, 1), 4, table=table) == elementary(3, 4)
+        _complete_homogeneous(3, 4)
+    assert schur_from_characters((1, 1, 1), 4, table=table) == \
+        _elementary(3, 4)
     s21 = schur_from_characters((2, 1), 3, table=table)
     assert s21.terms[(1, 1, 1)] == 2
 

@@ -6,16 +6,15 @@ import pytest
 from permfact import transition
 from permfact.characters import build_character_table
 from permfact.counting import count_goulden
-from permfact.oracle import transpositions, compose, identity
+from permfact.oracle import (build_raw_counts, transpositions, compose,
+                             identity)
 from permfact.partitions import enumerate_partitions, conjugate, rho
-from permfact.transition import (build_transition_matrix, build_raw_counts,
-                                 verify_matrix_equality,
-                                 matrix_equality_offenders,
-                                 matrix_power_apply, row_sums,
-                                 bipartite_offenders,
-                                 zero_multiplicity_lower_bound,
-                                 eigen_mismatches, dual_eigen_mismatches,
+from permfact.transition import (build_transition_matrix, matrix_power_apply,
                                  walk_row, _moves, _key, _slot_powers)
+from permfact.verify import (matrix_equality_offenders, row_sums,
+                             bipartite_offenders,
+                             zero_multiplicity_lower_bound,
+                             eigen_mismatches, dual_eigen_mismatches)
 
 
 def _shape(key, n):
@@ -68,8 +67,7 @@ def test_raw_counts_211_row(dense):
 
 def test_formula_equals_raw_counts():
     for n in range(2, 11):
-        assert verify_matrix_equality(n)
-    assert matrix_equality_offenders(6) == []
+        assert matrix_equality_offenders(n) == []
 
 
 def test_moves_equal_raw_count_rows():
@@ -186,8 +184,9 @@ def test_zero_multiplicity_lower_bound():
 
 def test_eigen_relations_small():
     for n in range(2, 9):
-        assert eigen_mismatches(n) == []
-        assert dual_eigen_mismatches(n) == []
+        matrix, table = build_transition_matrix(n), build_character_table(n)
+        assert eigen_mismatches(n, matrix, table) == []
+        assert dual_eigen_mismatches(n, matrix, table) == []
 
 
 def test_fault_injection_is_detected():
@@ -196,7 +195,7 @@ def test_fault_injection_is_detected():
     j, v = m[0][0]
     assert j == 1
     m[0][0] = (1, v + 1)  # flip entry (0, 1)
-    bad = eigen_mismatches(n, matrix=m)
+    bad = eigen_mismatches(n, m, build_character_table(n))
     assert bad, "a corrupted matrix must fail the eigen relations"
     # the offending row is the one that was corrupted
     index = enumerate_partitions(n)

@@ -5,8 +5,9 @@ import pytest
 from permfact import characters, symfun, verify
 from permfact.cli import main
 from permfact.characters import CharacterTable, build_character_table
-from permfact.verify import run_battery, check_dstar, check_two_cycle
-from permfact.transition import build_transition_matrix, eigen_mismatches
+from permfact.verify import (run_battery, check_dstar, check_two_cycle,
+                             eigen_mismatches)
+from permfact.transition import build_transition_matrix
 from permfact.partitions import enumerate_partitions
 
 
@@ -24,7 +25,7 @@ def test_seeded_fault_is_located():
     row, col = 3, 5
     assert col not in [j for j, _ in m[row]]  # entry (3, 5) is zero
     insort(m[row], (col, 1))
-    bad = eigen_mismatches(n, matrix=m)
+    bad = eigen_mismatches(n, m, build_character_table(n))
     assert bad
     # the corrupted row shows up as the offending class for some eigenvector
     assert any(nu == index.ordered[row] for _, nu in bad)
