@@ -23,7 +23,8 @@ _EXPORTS = {
     "counting": (
         "count_spectral", "count_matrix_method", "count_goulden",
         "count_two_cycle", "two_cycle_terms", "series_prefix",
-        "SeriesPrefix"),
+        "SeriesPrefix", "Expansion", "spectral_expansion",
+        "goulden_expansion", "two_cycle_expansion"),
     "oracle": (
         "cycle_type", "count_brute", "count_tuples", "build_raw_counts",
         "enumerate_bst", "bst_signed_count"),

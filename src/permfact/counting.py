@@ -1,38 +1,55 @@
 """Counting factorizations into k transpositions, four ways.
 
-count_spectral evaluates the eigenvalue expansion
-    c_k(mu) = (1/n!) * sum_lam chi^lam(1^n) chi^lam(mu) rho_lam^k
-exactly over the integers, over the support of column mu only; series
-and the verify battery read the same terms. The closed forms
-count_goulden (one cycle) and count_two_cycle (two cycles) are sums of
-the same shape, evaluated by the same helper. count_matrix_method walks
-row mu of the transition matrix instead. All four agree; the test suite
-holds them to that.
+c_k(mu) = (1/n!) * sum_r a_r r^k, a combination of geometric sequences
+in k, is one Expansion with a weight a_r per distinct eigenvalue r. The
+spectral route sums chi^lam(1^n) chi^lam(mu) over the lam of column mu
+with rho_lam = r; the closed forms for one and two cycles build the same
+object from formulas. Counts, series and the battery evaluate or compare
+expansions; count_matrix_method walks row mu of the transition matrix
+instead. All four agree; the test suite holds them to that.
 """
 
 from collections import namedtuple
 from math import comb, factorial
 
-from .partitions import check_partition, rho, z_value, DEFAULT_MAX_N
+from .partitions import (check_partition, is_int_at_least, rho, z_value,
+                         DEFAULT_MAX_N)
 from .transition import walk_row
 
 
-def _expansion(terms, k, n):
-    """(1/n!) * sum w r^k over (w, r) pairs, checked to be a count."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    total = sum(w * r ** k for w, r in terms)
-    if total % factorial(n) != 0 or total < 0:
-        raise RuntimeError(f"expansion sum {total} is not a nonnegative "
-                           f"multiple of {n}! at k={k}")
-    return total // factorial(n)
+class Expansion(namedtuple("Expansion", "n weights")):
+    """c_k = (1/n!) * sum a r^k over weights: (r, a) pairs, one per distinct
+    eigenvalue r, r descending, no a = 0, as _grouped builds them; so two
+    of one n are equal exactly when their counts agree at every k. Tuple
+    equality and count() stay: Expansion(3, w) == (3, w), c_k is at(k)."""
+    __slots__ = ()
+
+    def at(self, k):
+        """c_k, checked to be a count."""
+        if not is_int_at_least(k, 0):
+            raise ValueError(f"k must be a nonnegative int, got {k!r}")
+        total = sum(a * r ** k for r, a in self.weights)
+        if total % factorial(self.n) != 0 or total < 0:
+            raise RuntimeError(f"expansion sum {total} is not a nonnegative "
+                               f"multiple of {self.n}! at k={k}")
+        return total // factorial(self.n)
 
 
-def _spectral_terms(mu):
-    """(chi^lam(1^n) chi^lam(mu), rho_lam) over the support of column mu,
-    with dimensions from the hook formula, after both column
-    orthogonality checks. Every spectral count evaluates these pairs."""
+def _grouped(n, pairs):
+    """The Expansion of (w, r) pairs, the ws of each r summed."""
+    weights = {}
+    for w, r in pairs:
+        weights[r] = weights.get(r, 0) + w
+    return Expansion(n, tuple(sorted(((r, a) for r, a in weights.items() if a),
+                                     reverse=True)))
+
+
+def spectral_expansion(mu):
+    """Weights chi^lam(1^n) chi^lam(mu) at rho_lam over the support of
+    column mu, with dimensions from the hook formula, after both column
+    orthogonality checks. Every spectral count evaluates it."""
     from .characters import character_column, dimension_hook_formula
+    mu = check_partition(mu)
     column = character_column(mu)
     dims = {lam: dimension_hook_formula(lam) for lam in column}
     n = sum(mu)
@@ -44,13 +61,13 @@ def _spectral_terms(mu):
     if pairing != (factorial(n) if mu == (1,) * n else 0):
         raise RuntimeError(f"hook dimensions and column {mu} are not "
                            f"orthogonal: sum of dim * chi is {pairing}")
-    return [(dims[lam] * chi, rho(lam)) for lam, chi in column.items()]
+    return _grouped(n, ((dims[lam] * chi, rho(lam))
+                        for lam, chi in column.items()))
 
 
 def count_spectral(mu, k):
     """c_k(mu) from character values and content-sum eigenvalues."""
-    mu = check_partition(mu)
-    return _expansion(_spectral_terms(mu), k, sum(mu))
+    return spectral_expansion(mu).at(k)
 
 
 def count_matrix_method(mu, k):
@@ -58,13 +75,18 @@ def count_matrix_method(mu, k):
     return walk_row(check_partition(mu), k)
 
 
+def goulden_expansion(n):
+    """Single-cycle closed form: weight C(n-1,i) (-1)^i at
+    r = C(n,2) - n i for i = 0 .. n-1."""
+    if not is_int_at_least(n, 1):
+        raise ValueError(f"n must be a positive int, got {n!r}")
+    return _grouped(n, ((comb(n - 1, i) * (-1) ** i, comb(n, 2) - n * i)
+                        for i in range(n)))
+
+
 def count_goulden(n, k):
-    """Single-cycle closed form:
-    (1/n!) * sum_i C(n-1,i) (-1)^i (C(n,2) - n i)^k."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return _expansion([(comb(n - 1, i) * (-1) ** i, comb(n, 2) - n * i)
-                       for i in range(n)], k, n)
+    """c_k((n,)) from the single-cycle closed form."""
+    return goulden_expansion(n).at(k)
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +124,9 @@ def two_cycle_terms(m, k_small):
     length at most k_small forces a single tableau of sign (-1)^(b+1),
     and an arm longer than m a single tableau of sign (-1)^b.
     """
-    if not (1 <= k_small <= m):
-        raise ValueError("need m >= k_small >= 1")
+    if not (is_int_at_least(k_small, 1) and is_int_at_least(m, k_small)):
+        raise ValueError(f"need ints m >= k_small >= 1, got m={m!r}, "
+                         f"k_small={k_small!r}")
     n = m + k_small
     terms = []
     for j in range(1, k_small + 1):
@@ -138,14 +161,19 @@ def two_cycle_terms(m, k_small):
     return terms
 
 
+def two_cycle_expansion(m, k_small):
+    """The Expansion of c_k((m, k_small)) from two_cycle_terms."""
+    return _grouped(m + k_small, ((chi * dim, r) for _, chi, dim, r
+                                  in two_cycle_terms(m, k_small)))
+
+
 def count_two_cycle(m, k_small, k, max_n=DEFAULT_MAX_N):
     """c_k((m, k_small)) from the two-cycle closed form. The one entry point
     with a size ceiling, kept because the benchmark's checks pass one."""
     n = m + k_small
     if n > max_n:
         raise ValueError(f"n={n} above ceiling {max_n}")
-    return _expansion([(chi * dim, r) for _, chi, dim, r
-                       in two_cycle_terms(m, k_small)], k, n)
+    return two_cycle_expansion(m, k_small).at(k)
 
 
 # ---------------------------------------------------------------------------
@@ -170,12 +198,11 @@ def series_prefix(mu, terms):
     """
     from fractions import Fraction  # only a series makes one
     mu = check_partition(mu)
-    if terms < 1:
-        raise ValueError("terms must be positive")
-    pairs = _spectral_terms(mu)
-    prefix = SeriesPrefix(mu, tuple(
-        Fraction(_expansion(pairs, j, sum(mu)), factorial(j))
-        for j in range(terms)))
+    if not is_int_at_least(terms, 1):
+        raise ValueError(f"terms must be a positive int, got {terms!r}")
+    expansion = spectral_expansion(mu)
+    prefix = SeriesPrefix(mu, tuple(Fraction(expansion.at(j), factorial(j))
+                                    for j in range(terms)))
     for j, c in enumerate(prefix.coefficients):
         if j % 2 != prefix.nonzero_parity and c != 0:
             raise RuntimeError(f"parity collapse violated at j={j} for mu={mu}")

@@ -20,7 +20,7 @@ from functools import cache
 from itertools import permutations as _all_perms, product as _product
 
 from .partitions import (enumerate_partitions, check_partition,
-                         BRUTE_MAX_N, BRUTE_MAX_K)
+                         is_int_at_least, BRUTE_MAX_N, BRUTE_MAX_K)
 
 TUPLE_MAX_N = 4
 TUPLE_MAX_K = 5
@@ -105,11 +105,12 @@ def walk_distributions(n, kmax):
 def count_brute(mu, k):
     """Count factorizations of a type-mu permutation into k transpositions
     by group-algebra dynamic programming."""
+    mu = check_partition(mu, ordered=False)
     n = sum(mu)
     if n > BRUTE_MAX_N:
         raise ValueError(f"brute-force ceiling is n <= {BRUTE_MAX_N}, got n={n}")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    if not is_int_at_least(k, 0):
+        raise ValueError(f"k must be a nonnegative int, got {k!r}")
     if k > BRUTE_MAX_K:
         raise ValueError(f"brute-force ceiling is k <= {BRUTE_MAX_K}, got k={k}")
     return _class_counts(n)[cycle_type(class_representative(mu))][k]
@@ -130,7 +131,10 @@ def _class_counts(n):
 
 def count_tuples(mu, k):
     """Same count by literally enumerating k-tuples of transpositions."""
+    mu = check_partition(mu, ordered=False)
     n = sum(mu)
+    if not is_int_at_least(k, 0):
+        raise ValueError(f"k must be a nonnegative int, got {k!r}")
     if n > TUPLE_MAX_N or k > TUPLE_MAX_K:
         raise ValueError(f"tuple enumeration capped at n <= {TUPLE_MAX_N}, "
                          f"k <= {TUPLE_MAX_K}")

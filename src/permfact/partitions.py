@@ -17,6 +17,13 @@ BRUTE_MAX_N = 7
 BRUTE_MAX_K = 16
 
 
+def is_int_at_least(value, least):
+    """Whether value is an int, not a bool, and at least least: the one
+    check of parts, sizes and exponents."""
+    return isinstance(value, int) and not isinstance(value, bool) \
+        and value >= least
+
+
 def check_partition(lam, ordered=True):
     """Validate that lam is a nonempty tuple of positive ints (no bools),
     weakly decreasing unless ordered is false, as a cycle type may be."""
@@ -24,7 +31,7 @@ def check_partition(lam, ordered=True):
     if not lam:
         raise ValueError("partition must be nonempty")
     for p in lam:
-        if isinstance(p, bool) or not isinstance(p, int) or p < 1:
+        if not is_int_at_least(p, 1):
             raise ValueError(f"invalid part {p!r} in {lam}")
     if not ordered:
         return lam
@@ -47,7 +54,7 @@ class PartitionIndex:
     """All partitions of n in canonical order with O(1) rank lookup."""
 
     def __init__(self, n):
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        if not is_int_at_least(n, 1):
             raise ValueError(f"n must be a positive integer, got {n!r}")
         self.n = n
         self.ordered = tuple(_gen(n, n))

@@ -34,7 +34,7 @@ constructs the matrix the literal way instead and is the reference for
 the move rule; verify holds the comparisons.
 """
 
-from .partitions import enumerate_partitions
+from .partitions import enumerate_partitions, is_int_at_least
 
 
 def _slot_powers(n):
@@ -101,8 +101,8 @@ def walk_row(mu, k):
     n = sum(mu)
     if n < 2:
         raise ValueError("transition matrix needs n >= 2")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    if not is_int_at_least(k, 0):
+        raise ValueError(f"k must be a nonnegative int, got {k!r}")
     P = _slot_powers(n)
     rows = {}  # key: (cuts, joins), each a list of (key', weight)
     v = {len(mu): {_key(mu, P): 1}} if len(mu) + k >= n else {}

@@ -15,7 +15,8 @@ from permfact.cli import main
 from permfact.counting import (count_spectral, count_matrix_method,
                                count_goulden, count_two_cycle,
                                two_cycle_terms, series_prefix,
-                               SeriesPrefix)
+                               SeriesPrefix, Expansion, spectral_expansion,
+                               goulden_expansion, two_cycle_expansion)
 from permfact.oracle import (count_brute, count_tuples, TUPLE_MAX_K,
                              TUPLE_MAX_N)
 from permfact.partitions import enumerate_partitions, class_size, rho
@@ -149,6 +150,64 @@ def test_two_cycle_counts(spectral_counts):
             m = n - k_small
             for k, s in enumerate(spectral_counts((m, k_small), 12)):
                 assert count_two_cycle(m, k_small, k) == s
+
+
+def test_expansion_record():
+    # c_k(1^3): chi^lam(1^3)^2 = 1, 4, 1 at rho = 3, 0, -3
+    e = spectral_expansion((1, 1, 1))
+    assert e == Expansion(n=3, weights=((3, 1), (0, 4), (-3, 1)))
+    assert [e.at(k) for k in range(5)] == [1, 0, 3, 0, 27]
+    assert Expansion.count is tuple.count  # c_k is at(k), not count(k)
+    assert hash(e) == hash(Expansion(3, ((3, 1), (0, 4), (-3, 1))))
+    with pytest.raises(AttributeError):
+        e.n = 4
+    with pytest.raises(AttributeError):
+        e.terms = ()
+
+
+def test_expansion_weights_are_grouped_by_eigenvalue():
+    for n in range(1, 10):
+        for mu in enumerate_partitions(n):
+            e = spectral_expansion(mu)
+            rs = [r for r, _ in e.weights]
+            assert e.n == n
+            assert rs == sorted(set(rs), reverse=True), mu
+            assert all(a != 0 for _, a in e.weights), mu
+    # far fewer distinct eigenvalues than shapes in the column
+    assert len(spectral_expansion((20, 12, 8)).weights) == 248
+    assert len(spectral_expansion((12, 9, 5, 4)).weights) == 409
+
+
+def test_closed_form_expansions_equal_spectral():
+    """Equal expansions give equal counts at every k."""
+    for n in range(1, 13):
+        goulden = tuple((comb(n, 2) - n * i, comb(n - 1, i) * (-1) ** i)
+                        for i in range(n))
+        assert goulden_expansion(n) == spectral_expansion((n,)) == \
+            Expansion(n, goulden)
+        for k_small in range(1, n // 2 + 1):
+            mu = (n - k_small, k_small)
+            assert two_cycle_expansion(*mu) == spectral_expansion(mu), mu
+
+
+def test_exponents_and_sizes_must_be_ints():
+    # floats and bools are usage errors: never a count, never reported
+    # as a fault of the expansion sum
+    for call in (lambda: count_spectral((4,), 5.0),
+                 lambda: count_spectral((6, 4, 2), 14.0),
+                 lambda: count_goulden(12, 31.0),
+                 lambda: count_spectral((2, 1), True),
+                 lambda: count_matrix_method((6, 4, 2), 14.0),
+                 lambda: count_two_cycle(3, 1, 2.0),
+                 lambda: series_prefix((3,), 2.0),
+                 lambda: series_prefix((2, 1), True),
+                 lambda: count_goulden(True, 1),
+                 lambda: goulden_expansion(3.0),
+                 lambda: count_two_cycle(True, 1, 2),
+                 lambda: two_cycle_terms(2, True),
+                 lambda: two_cycle_expansion(2.0, 1)):
+        with pytest.raises(ValueError, match="int"):
+            call()
 
 
 def test_two_cycle_validation():

@@ -109,6 +109,16 @@ def test_count_brute_errors(monkeypatch):
                            ((3,), -1, "nonnegative")):
         with pytest.raises(ValueError, match=message):
             count_brute(mu, k)
+    # a cycle type has positive int parts, in any order
+    for mu in ((2, 0, 1), (True, 2), (3, -1), (2.0, 1), ()):
+        for count in (count_brute, count_tuples):
+            with pytest.raises(ValueError):
+                count(mu, 1)
+    # and k is a nonnegative int, not a bool or a float
+    for k in (True, 1.0, -1):
+        for count in (count_brute, count_tuples):
+            with pytest.raises(ValueError, match="nonnegative int"):
+                count((2, 1), k)
 
 
 def test_one_walk_per_n(monkeypatch):

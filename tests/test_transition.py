@@ -211,6 +211,9 @@ def test_needs_n_at_least_2():
         walk_row((1,), 0)
     with pytest.raises(ValueError, match="nonnegative"):
         walk_row((2,), -1)
+    for k in (14.0, True):
+        with pytest.raises(ValueError, match="int"):
+            walk_row((6, 4, 2), k)
     with pytest.raises(ValueError):
         matrix_power_apply([[]], -1, [1])
     with pytest.raises(ValueError):

@@ -1,8 +1,10 @@
+import ast
+import inspect
 from bisect import insort
 
 import pytest
 
-from permfact import characters, symfun, verify
+from permfact import characters, counting, symfun, verify
 from permfact.cli import main
 from permfact.characters import CharacterTable, build_character_table
 from permfact.verify import (run_battery, check_dstar, check_two_cycle,
@@ -57,12 +59,41 @@ def test_battery_counts_through_the_column_route(monkeypatch):
         assert status == "FAIL", check.__name__
 
 
+def test_battery_reads_no_private_name_of_another_module():
+    tree = ast.parse(inspect.getsource(verify))
+    # names bound by `from . import x` and `from .x import y`, and the
+    # attributes read off them
+    names = [a.asname or a.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.level
+             for a in node.names]
+    read = [node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id in names]
+    assert not [name for name in names + read if name.startswith("_")]
+
+
 def test_individual_checks_report_scales():
     r = check_dstar(n_max=2)
     assert r.status == "PASS"
     assert "n <= 2" in r.detail
-    r = check_two_cycle(n_max=6, k_max=6)
-    assert r.status == "PASS"
+    r = check_two_cycle(n_max=6)
+    assert (r.status, r.detail) == ("PASS", "n <= 6, every k")
+
+
+def test_changed_two_cycle_weight_fails_its_check(monkeypatch):
+    # one dimension of the (4, 2) closed form off by one changes one weight
+    terms = counting.two_cycle_terms
+
+    def changed(m, k_small):
+        out = terms(m, k_small)
+        if (m, k_small) == (4, 2):
+            lam, chi, dim, r = out[0]
+            out[0] = (lam, chi, dim + 1, r)
+        return out
+
+    monkeypatch.setattr(counting, "two_cycle_terms", changed)
+    r = verify.check_two_cycle(n_max=8)
+    assert (r.status, r.detail) == ("FAIL", "mu=(4, 2)")
 
 
 def test_orthogonality_fault_is_reported(monkeypatch):
