@@ -27,10 +27,11 @@ _EXPORTS = {
         "goulden_expansion", "two_cycle_expansion"),
     "oracle": (
         "cycle_type", "count_brute", "count_tuples", "build_raw_counts",
-        "enumerate_bst", "bst_signed_count"),
+        "enumerate_bst", "bst_signed_count", "Poly", "power_sum",
+        "apply_dstar"),
     "symfun": (
-        "Poly", "power_sum", "expand_p", "schur_from_characters",
-        "apply_dstar", "matrix_of_dstar", "omega_on_p", "schur_p_coords"),
+        "dstar_rows", "pour_rows", "kostka_rows", "omega_on_p",
+        "schur_p_coords"),
     "verify": ("run_battery", "parity_census",
                "zero_multiplicity_lower_bound"),
 }

@@ -13,11 +13,20 @@ tuples of images in one-line notation on {0, ..., n-1}, composed as
 
 count_brute walks S_n once per n, up to BRUTE_MAX_K, and keeps only
 the counts at one element of each cycle type.
+
+apply_dstar is the paper's operator on polynomials in N variables, the
+reference for symfun's integer rows; each divided difference is checked
+to be exact:
+
+    D f = sum_i x_i^2 d^2f/dx_i^2
+        + sum_{i != j} (x_i^2 df/dx_i - x_j^2 df/dx_j) / (x_i - x_j)
 """
 
 from collections import Counter, namedtuple
 from functools import cache
-from itertools import permutations as _all_perms, product as _product
+from itertools import (combinations, permutations as _all_perms,
+                       product as _product)
+from operator import add
 
 from .partitions import (enumerate_partitions, check_partition,
                          is_int_at_least, BRUTE_MAX_N, BRUTE_MAX_K)
@@ -25,6 +34,7 @@ from .partitions import (enumerate_partitions, check_partition,
 TUPLE_MAX_N = 4
 TUPLE_MAX_K = 5
 BST_MAX_N = 8
+DSTAR_MAX_N = 5  # apply_dstar's cost in N = n + 2 grows about 7x per n
 
 
 def identity(n):
@@ -249,3 +259,147 @@ def _validate_bst(lam, mu, tab):
 
 def bst_signed_count(lam, mu):
     return sum(t.sign() for t in enumerate_bst(lam, mu))
+
+
+class Poly:
+    """Multivariate polynomial in N variables; coefficients are ints or
+    Fractions, stored as given, zeros dropped."""
+
+    __slots__ = ("N", "terms")
+
+    def __init__(self, N, terms=None):
+        self.N = N
+        self.terms = {}
+        if terms:
+            for exps, c in terms.items():
+                if c:
+                    self.terms[tuple(exps)] = c
+
+    @classmethod
+    def constant(cls, N, value):
+        return cls(N, {(0,) * N: value})
+
+    @classmethod
+    def variable(cls, N, i, power=1):
+        exps = [0] * N
+        exps[i] = power
+        return cls(N, {tuple(exps): 1})
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        return isinstance(other, Poly) and self.N == other.N \
+            and self.terms == other.terms
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for exps, c in other.terms.items():
+            s = out.get(exps, 0) + c
+            if s:
+                out[exps] = s
+            else:
+                out.pop(exps, None)
+        return Poly(self.N, out)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def __mul__(self, other):
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(map(add, e1, e2))
+                s = out.get(e, 0) + c1 * c2
+                if s:
+                    out[e] = s
+                else:
+                    out.pop(e, None)
+        return Poly(self.N, out)
+
+    def scale(self, value):
+        return Poly(self.N, {e: c * value for e, c in self.terms.items()})
+
+    def swap(self, i, j):
+        out = {}
+        for exps, c in self.terms.items():
+            e = list(exps)
+            e[i], e[j] = e[j], e[i]
+            out[tuple(e)] = c
+        return Poly(self.N, out)
+
+    def __repr__(self):
+        return f"Poly(N={self.N}, {len(self.terms)} terms)"
+
+
+def is_symmetric(f):
+    """Invariance under all adjacent transpositions of the variables."""
+    return all(f.swap(i, i + 1) == f for i in range(f.N - 1))
+
+
+def power_sum(k, N):
+    """p_k = x_1^k + ... + x_N^k."""
+    if N < 1 or k < 1:
+        raise ValueError("need N >= 1 and k >= 1")
+    out = Poly(N)
+    for i in range(N):
+        out = out + Poly.variable(N, i, k)
+    return out
+
+
+def monomial_symmetric(lam, N):
+    """m_lam in N variables: each distinct zero-padded rearrangement."""
+    lam = check_partition(lam)
+    if len(lam) > N:
+        return Poly(N)
+    return Poly(N, dict.fromkeys(_all_perms(lam + (0,) * (N - len(lam))), 1))
+
+
+def _divide_by_difference(g, i, j):
+    """Exact quotient of g, an {exponents: coeff} map, by x_i - x_j, as a
+    map that may hold zeros. Taken term by term the quotient is
+    (g - g|_{x_i=x_j}) / (x_i - x_j), so it is exact iff g vanishes at
+    x_i = x_j: each term is gathered at exponent e_i + e_j of x_j, and a
+    sum other than 0 raises RuntimeError."""
+    out, rest = {}, {}
+    for exps, c in g.items():
+        e = list(exps)
+        a, s = e[i], e[i] + e[j]
+        e[i], e[j] = 0, s
+        key = tuple(e)
+        rest[key] = rest.get(key, 0) + c
+        # x_i^a x_j^b - x_j^(a+b) = (x_i - x_j) sum_d x_i^d x_j^(a+b-1-d)
+        for d in range(a):
+            e[i], e[j] = d, s - 1 - d
+            key = tuple(e)
+            out[key] = out.get(key, 0) + c
+    if any(rest.values()):
+        raise RuntimeError(f"division by x_{i} - x_{j} left a remainder")
+    return out
+
+
+def apply_dstar(f):
+    """Apply the operator to a symmetric polynomial."""
+    if not is_symmetric(f):
+        raise ValueError("operator input must be symmetric")
+    N = f.N
+    # (x_i^2 d_i f - x_j^2 d_j f) / (x_i - x_j)
+    #     = x_i d_i f + x_j (x_i d_i - x_j d_j) f / (x_i - x_j),
+    # and the (j, i) summand equals the (i, j) one: factor 2. Both
+    # x_k^2 d_k^2 and the x_k d_k f of the N - 1 - k pairs (k, j), j > k,
+    # fix each monomial, scaling it by e_k (e_k - 1) and 2 (N - 1 - k) e_k;
+    # h is the rest, x_j (x_i d_i - x_j d_j) f, which must divide exactly
+    out = {exps: c * sum(e * (e - 1 + 2 * (N - 1 - k))
+                         for k, e in enumerate(exps))
+           for exps, c in f.terms.items()}
+    for i, j in combinations(range(N), 2):
+        h = {}
+        for exps, c in f.terms.items():
+            a, b = exps[i], exps[j]
+            if a != b:
+                e = list(exps)
+                e[j] += 1
+                h[tuple(e)] = (a - b) * c
+        for exps, c in _divide_by_difference(h, i, j).items():
+            out[exps] = out.get(exps, 0) + 2 * c
+    return Poly(N, out)

@@ -5,13 +5,13 @@ Each check returns a CheckResult; run_battery collects all of them.
 Default scales keep the battery under a minute; deep mode raises the
 ceilings to the full ranges the test suite also pins. The comparisons
 the checks run (move rule against raw tally, eigen relations, matrix
-structure, parity census) live here too: the route modules hold only
-what a count, a series, a matrix or a table runs, and oracle holds the
-raw-definition references.
+structure, parity census, the operator's identities on symfun's integer
+rows) live here too: the route modules hold only what a count, a
+series, a matrix or a table runs, and oracle holds the raw-definition
+references.
 """
 
 from collections import Counter, namedtuple
-from fractions import Fraction
 from itertools import permutations as _perms
 from math import comb, factorial
 
@@ -121,7 +121,8 @@ def eigen_mismatches(n, matrix, table):
     for lam in index:
         u = table.row(lam)
         lhs = [sum(val * u[j] for j, val in row) for row in matrix]
-        bad += _first_mismatch(lam, index, lhs, u)
+        nu = _first_difference(index, lhs, [rho(lam) * x for x in u])
+        bad += [(lam, nu)] if nu else []
     return bad
 
 
@@ -135,18 +136,16 @@ def dual_eigen_mismatches(n, matrix, table):
     bad = []
     for lam in index:
         w = [x * y for x, y in zip(table.row(lam), weights)]
-        lhs = [0] * len(index)
-        for s_pos, row in enumerate(matrix):
-            for t_pos, val in row:
-                lhs[t_pos] += val * w[s_pos]
-        bad += _first_mismatch(lam, index, lhs, w)
+        lhs = symfun.times_rows(enumerate(w), matrix)
+        nu = _first_difference(index, lhs, [rho(lam) * x for x in w])
+        bad += [(lam, nu)] if nu else []
     return bad
 
 
-def _first_mismatch(lam, index, lhs, vec):
-    """[(lam, nu)] for the first nu where lhs != rho(lam) * vec, else []."""
-    r = rho(lam)
-    return [(lam, nu) for nu, x, y in zip(index, lhs, vec) if x != r * y][:1]
+def _first_difference(index, xs, ys):
+    """The first partition nu of index where xs and ys, vectors indexed by
+    index, differ, or None."""
+    return next((nu for nu, x, y in zip(index, xs, ys) if x != y), None)
 
 
 # ---------------------------------------------------------------------------
@@ -385,32 +384,46 @@ def check_omega(n_max=6):
     return _result("omega-involution", True, f"n <= {n_max}")
 
 
-def check_dstar(n_max=3, second_N=False):
+def check_dstar(n_max=8):
+    """For every N >= n at once: K unitriangular, K (D - 2nN) =
+    diag(2 rho - 2n) K and R (D - 2nN) = (2A - 2n) R. Up to DSTAR_MAX_N,
+    also oracle.apply_dstar on each m_lam in N = n+1 and n+2 variables."""
+    raw_max = min(n_max, oracle.DSTAR_MAX_N)
     for n in range(1, n_max + 1):
-        table = build_character_table(n)
-        index = table.index
-        Ns = (n + 1, n + 2) if second_N else (n + 1,)
-        # the nonzero entries of A_n transposed; A_1 has none
-        at = {} if n == 1 else {(s, t): v for t, row in enumerate(
-            transition.build_transition_matrix(n)) for s, v in row}
-        size = len(index)
-        for N in Ns:
-            mat = symfun.matrix_of_dstar(n, N)
-            for r in range(size):
-                for c in range(size):
-                    expect = Fraction(at.get((r, c), 0))
-                    if r == c:
-                        expect += n * (N - 1)
-                    if mat[r][c] != 2 * expect:
-                        return _result("diff-operator", False,
-                                       f"matrix (n={n}, N={N}) at ({r},{c})")
-            for lam in index:
-                s = symfun.schur_from_characters(lam, N, table=table)
-                if symfun.apply_dstar(s) != s.scale(2 * n * (N - 1) + 2 * rho(lam)):
+        index = enumerate_partitions(n)
+        dstar = symfun.dstar_rows(n)
+        pour = symfun.pour_rows(n)
+        kostka = symfun.kostka_rows(build_character_table(n))
+        for r, (lam, row) in enumerate(zip(index, kostka)):
+            if row[-1:] != [(r, 1)]:
+                return _result("diff-operator", False,
+                               f"Kostka not unitriangular (n={n}) at {lam}")
+            mu = _first_difference(
+                index, symfun.times_rows(row, dstar),
+                symfun.times_rows([(r, 2 * rho(lam) - 2 * n)], kostka))
+            if mu:
+                return _result("diff-operator", False,
+                               f"eigenfunction (n={n}) at ({lam}, {mu})")
+        moves = transition.build_transition_matrix(n) if n > 1 else [[]]
+        for r, (nu, row, move) in enumerate(zip(index, pour, moves)):
+            mu = _first_difference(
+                index, symfun.times_rows(row, dstar),
+                symfun.times_rows([(s, 2 * v) for s, v in move]
+                                  + [(r, -2 * n)], pour))
+            if mu:
+                return _result("diff-operator", False,
+                               f"power sums (n={n}) at ({nu}, {mu})")
+        for N in (n + 1, n + 2) if n <= raw_max else ():
+            monomials = [oracle.monomial_symmetric(lam, N) for lam in index]
+            for lam, m, row in zip(index, monomials, dstar):
+                image = sum((monomials[col].scale(v) for col, v in row),
+                            m.scale(2 * n * N))
+                if oracle.apply_dstar(m) != image:
                     return _result("diff-operator", False,
-                                   f"eigenfunction (n={n}, N={N}, {lam})")
+                                   f"raw operator (n={n}, N={N}) at {lam}")
     return _result("diff-operator", True,
-                   f"n <= {n_max}, N in {{n+1{', n+2' if second_N else ''}}}")
+                   f"n <= {n_max}, every N >= n; "
+                   f"raw operator n <= {raw_max}, N in {{n+1, n+2}}")
 
 
 def run_battery(deep=False):
@@ -437,6 +450,6 @@ def run_battery(deep=False):
                                    "k_max": 10 if deep else 8}),
         (check_dual_bases, {"n_max": 12 if deep else 8}),
         (check_omega, {"n_max": 6 if deep else 5}),
-        (check_dstar, {"n_max": 5 if deep else 3, "second_N": deep}),
+        (check_dstar, {"n_max": 12 if deep else 8}),
     ]
     return [fn(**kw) for fn, kw in specs]

@@ -6,7 +6,6 @@ time with the stated budgets.
 """
 
 import time
-from fractions import Fraction
 from math import comb, factorial
 
 from permfact.characters import (build_character_table,
@@ -160,31 +159,49 @@ def test_criterion_08_character_suite():
           "conjugation, hook dimensions (n <= 12)")
 
 
-def test_criterion_09_differential_operator(dense):
-    from permfact.symfun import (apply_dstar, matrix_of_dstar,
-                                 schur_from_characters)
+def test_criterion_09_differential_operator(dense, dense_product,
+                                            power_product, from_monomials):
+    from permfact.oracle import apply_dstar
+    from permfact.symfun import dstar_rows, kostka_rows, pour_rows
     start = time.monotonic()
+    # the raw operator on power sums and Schur polynomials in N
+    # variables, compared as polynomials, with no solve
     for n in range(1, 6):
-        table = build_character_table(n)
         index = enumerate_partitions(n)
-        size = len(index)
-        a = dense(build_transition_matrix(n)) if n >= 2 else [[0]]
+        moves = build_transition_matrix(n) if n >= 2 else [[]]
+        kostka = kostka_rows(build_character_table(n))
         for N in (n + 1, n + 2):
-            mat = matrix_of_dstar(n, N)
-            for r in range(size):
-                for c in range(size):
-                    expect = Fraction(a[c][r])
-                    if r == c:
-                        expect += n * (N - 1)
-                    assert mat[r][c] == 2 * expect
-            for lam in index:
-                s = schur_from_characters(lam, N, table=table)
-                scaled = s.scale(2 * n * (N - 1) + 2 * rho(lam))
-                assert apply_dstar(s) == scaled
+            p = [power_product(nu, N) for nu in index]
+            for p_nu, row in zip(p, moves):
+                image = p_nu.scale(2 * n * (N - 1))
+                for s, v in row:
+                    image = image + p[s].scale(2 * v)
+                assert apply_dstar(p_nu) == image
+            for lam, row in zip(index, kostka):
+                s = from_monomials(row, index, N)
+                eigenvalue = 2 * n * (N - 1) + 2 * rho(lam)
+                assert apply_dstar(s) == s.scale(eigenvalue)
+    # on the monomial basis, for every N >= n: K unitriangular,
+    # K (D - 2nN) = diag(2 rho - 2n) K and R (D - 2nN) = (2A - 2n) R
+    for n in range(1, 13):
+        index = enumerate_partitions(n)
+        D = dense(dstar_rows(n))
+        R = dense(pour_rows(n))
+        K = dense(kostka_rows(build_character_table(n)))
+        A = dense(build_transition_matrix(n)) if n >= 2 else [[0]]
+        for r, line in enumerate(K):
+            assert line[r] == 1 and not any(line[r + 1:])
+        assert dense_product(K, D) == [
+            [(2 * rho(lam) - 2 * n) * x for x in line]
+            for lam, line in zip(index, K)]
+        assert dense_product(R, D) == [
+            [2 * x - 2 * n * y for x, y in zip(a, r)]
+            for a, r in zip(dense_product(A, R), R)]
     elapsed = time.monotonic() - start
     assert elapsed < 300.0
-    print(f"criterion 9 PASS: operator matrix and eigenfunctions "
-          f"(n <= 5, N in {{n+1, n+2}}) ({elapsed:.1f}s)")
+    print(f"criterion 9 PASS: operator on power sums and Schur polynomials "
+          f"(n <= 5, N in {{n+1, n+2}}), on the monomial basis (n <= 12) "
+          f"({elapsed:.1f}s)")
 
 
 def test_criterion_10_structural_properties(spectral_counts):

@@ -356,7 +356,7 @@ def test_count_leaves_battery_unloaded():
         "import permfact\n"
         "assert set(permfact.__all__) <= set(dir(permfact))\n"
         "assert permfact.run_battery.__module__ == 'permfact.verify'\n"
-        "assert permfact.Poly.__module__ == 'permfact.symfun'\n"
+        "assert permfact.Poly.__module__ == 'permfact.oracle'\n"
         "assert not hasattr(permfact, 'no_such_name')\n"
         "names = {}\n"
         "exec('from permfact import *', names)\n"

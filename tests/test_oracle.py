@@ -1,14 +1,20 @@
+from fractions import Fraction
 from itertools import permutations
-from math import comb
+from math import comb, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from permfact import oracle
+from permfact.characters import build_character_table
 from permfact.oracle import (identity, compose, cycle_type, transpositions,
                              class_representative, walk_distributions,
                              count_brute, count_tuples, BRUTE_MAX_K,
-                             _cycle_lengths)
+                             _cycle_lengths, Poly, power_sum, is_symmetric,
+                             monomial_symmetric, apply_dstar,
+                             _divide_by_difference)
 from permfact.partitions import enumerate_partitions
+from permfact.symfun import kostka_rows
 
 
 def _verify_cut_glue(n):
@@ -174,3 +180,98 @@ def test_class_invariance_value():
     elements, index, vecs = walk_distributions(4, 4)
     vals = {vecs[4][index[g]] for g in elements if cycle_type(g) == (3, 1)}
     assert vals == {108}
+
+
+
+def test_symmetry_detection():
+    assert is_symmetric(power_sum(3, 4))
+    m21 = monomial_symmetric((2, 1), 3)
+    assert is_symmetric(m21) and len(m21.terms) == 6
+    skew = Poly(3, {(1, 0, 0): Fraction(1)})
+    assert not is_symmetric(skew)
+    with pytest.raises(ValueError):
+        apply_dstar(skew)
+
+
+def test_monomial_symmetric():
+    assert monomial_symmetric((2, 1), 2).terms == {(2, 1): 1, (1, 2): 1}
+    assert monomial_symmetric((1, 1), 3).terms == \
+        {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1}
+    # m_lam vanishes in fewer variables than lam has parts
+    assert monomial_symmetric((1, 1, 1), 2) == Poly(2)
+    with pytest.raises(ValueError):
+        monomial_symmetric((1, 2), 3)
+
+
+def test_divide_by_difference_exact():
+    # (x0^2 - x1^2) / (x0 - x1) = x0 + x1
+    g = {(2, 0): Fraction(1), (0, 2): Fraction(-1)}
+    assert Poly(2, _divide_by_difference(g, 0, 1)) == power_sum(1, 2)
+    with pytest.raises(RuntimeError):
+        _divide_by_difference({(2, 0): Fraction(1)}, 0, 1)
+    # a non-adjacent pair: (x0 - x2)(x0 x1 + x2^2) / (x0 - x2)
+    g = (Poly.variable(3, 0) - Poly.variable(3, 2)) * Poly(
+        3, {(1, 1, 0): 1, (0, 0, 2): 1})
+    assert Poly(3, _divide_by_difference(g.terms, 0, 2)) == \
+        Poly(3, {(1, 1, 0): 1, (0, 0, 2): 1})
+    # at x0 = x2, x0^2 x1 - x2^2 x1 cancels but x0 x1 leaves x1 x2
+    bad = {(2, 1, 0): 1, (0, 1, 2): -1, (1, 1, 0): 1}
+    with pytest.raises(RuntimeError, match="x_0 - x_2"):
+        _divide_by_difference(bad, 0, 2)
+
+
+def _diff(f, i):
+    """d f / d x_i."""
+    out = {}
+    for exps, c in f.terms.items():
+        if exps[i]:
+            e = list(exps)
+            e[i] -= 1
+            out[tuple(e)] = c * exps[i]
+    return Poly(f.N, out)
+
+
+def _reference_dstar(f):
+    """The operator by generic Poly arithmetic over every ordered pair,
+    each quotient checked by multiplying back."""
+    N = f.N
+    out = Poly(N, {e: c * sum(k * (k - 1) for k in e)
+                   for e, c in f.terms.items()})
+    for i in range(N):
+        for j in range(N):
+            if i != j:
+                g = Poly.variable(N, i, 2) * _diff(f, i) \
+                    - Poly.variable(N, j, 2) * _diff(f, j)
+                q = Poly(N, _divide_by_difference(g.terms, i, j))
+                assert (Poly.variable(N, i) - Poly.variable(N, j)) * q == g
+                out = out + q
+    return out
+
+
+def test_dstar_matches_reference_on_p_and_s(from_monomials, power_product):
+    for n in range(1, 5):
+        index = enumerate_partitions(n)
+        kostka = kostka_rows(build_character_table(n))
+        for N in (n + 1, n + 2):
+            for lam, row in zip(index, kostka):
+                for f in (power_product(lam, N),
+                          from_monomials(row, index, N)):
+                    assert apply_dstar(f) == _reference_dstar(f)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 2), st.data())
+def test_dstar_matches_reference_on_p_combinations(n, extra, data):
+    N = n + extra
+    f = Poly(N)
+    for lam in enumerate_partitions(n):
+        p = prod((power_sum(r, N) for r in lam), start=Poly.constant(N, 1))
+        f = f + p.scale(data.draw(st.integers(-5, 5)))
+    assert apply_dstar(f) == _reference_dstar(f)
+
+
+def test_dstar_on_p1_and_constants():
+    for N in range(2, 6):
+        p1 = power_sum(1, N)
+        assert apply_dstar(p1) == p1.scale(2 * (N - 1))
+    assert apply_dstar(Poly.constant(3, 7)) == Poly(3)

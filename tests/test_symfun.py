@@ -1,38 +1,14 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from math import factorial, prod
 
-import pytest
-from hypothesis import given, settings, strategies as st
-
-from permfact.characters import CharacterTable, build_character_table
+from permfact.characters import build_character_table
+from permfact.oracle import Poly, apply_dstar
 from permfact.partitions import enumerate_partitions, conjugate, rho, z_value
-from permfact.symfun import (Poly, power_sum, expand_p,
-                             schur_from_characters, is_symmetric,
-                             apply_dstar, matrix_of_dstar, p_basis_coords,
-                             omega_on_p, schur_p_coords,
-                             _divide_by_difference)
+from permfact.symfun import (dstar_rows, pour_rows, kostka_rows, omega_on_p,
+                             schur_p_coords, times_rows)
 from permfact.transition import build_transition_matrix
-
-
-def _diff(f, i):
-    """d f / d x_i."""
-    out = {}
-    for exps, c in f.terms.items():
-        if exps[i]:
-            e = list(exps)
-            e[i] -= 1
-            out[tuple(e)] = c * exps[i]
-    return Poly(f.N, out)
-
-
-def _evaluate(f, point):
-    total = Fraction(0)
-    for exps, c in f.terms.items():
-        v = c
-        for x, e in zip(point, exps):
-            v *= Fraction(x) ** e
-        total += v
-    return total
 
 
 def _complete_homogeneous(n, N):
@@ -57,207 +33,116 @@ def _elementary(n, N):
     return Poly(N, out)
 
 
-def test_power_sum_expansions():
-    p1 = power_sum(1, 2)
-    assert p1.terms == {(1, 0): 1, (0, 1): 1}
-    p11 = expand_p((1, 1), 2)
-    assert p11.terms == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
-    assert _evaluate(expand_p((2, 1), 3), [1, 1, 1]) == 9
 
 
-def test_symmetry_detection():
-    assert is_symmetric(power_sum(3, 4))
-    skew = Poly(3, {(1, 0, 0): Fraction(1)})
-    assert not is_symmetric(skew)
-    with pytest.raises(ValueError):
-        apply_dstar(skew)
+def test_power_sum_expansions(from_monomials, power_product):
+    # p_11 = m_2 + 2 m_11; p_111 = m_3 + 3 m_21 + 6 m_111; p_21 = m_3 + m_21
+    assert pour_rows(2) == [[(0, 2), (1, 1)], [(1, 1)]]
+    assert pour_rows(3) == [[(0, 6), (1, 3), (2, 1)], [(1, 1), (2, 1)],
+                            [(2, 1)]]
+    for n in range(1, 6):
+        index = enumerate_partitions(n)
+        for nu, row in zip(index, pour_rows(n)):
+            assert from_monomials(row, index, n) == power_product(nu, n)
 
 
-def test_divide_by_difference_exact():
-    # (x0^2 - x1^2) / (x0 - x1) = x0 + x1
-    g = {(2, 0): Fraction(1), (0, 2): Fraction(-1)}
-    assert Poly(2, _divide_by_difference(g, 0, 1)) == power_sum(1, 2)
-    with pytest.raises(RuntimeError):
-        _divide_by_difference({(2, 0): Fraction(1)}, 0, 1)
-    # a non-adjacent pair: (x0 - x2)(x0 x1 + x2^2) / (x0 - x2)
-    g = (Poly.variable(3, 0) - Poly.variable(3, 2)) * Poly(
-        3, {(1, 1, 0): 1, (0, 0, 2): 1})
-    assert Poly(3, _divide_by_difference(g.terms, 0, 2)) == \
-        Poly(3, {(1, 1, 0): 1, (0, 0, 2): 1})
-    # at x0 = x2, x0^2 x1 - x2^2 x1 cancels but x0 x1 leaves x1 x2
-    bad = {(2, 1, 0): 1, (0, 1, 2): -1, (1, 1, 0): 1}
-    with pytest.raises(RuntimeError, match="x_0 - x_2"):
-        _divide_by_difference(bad, 0, 2)
+def test_times_rows():
+    rows = [[(0, 1), (2, 3)], [], [(1, -2)]]
+    assert times_rows([(0, 5), (2, 1)], rows) == [5, -2, 15]
+    assert times_rows(enumerate([0, 7, 0]), rows) == [0, 0, 0]
 
 
-def test_expand_p_memo_is_shared_and_unchanged():
-    def fresh():
-        return power_sum(2, 3) * power_sum(1, 3)
-    p = expand_p([2, 1], 3)
-    assert p == fresh() and p is expand_p((2, 1), 3)
-    p.scale(5), p + p, p * p, p - p  # each builds a new Poly
-    assert expand_p((2, 1), 3) == fresh()
-    with pytest.raises(ValueError):
-        expand_p([1, 2], 3)
+def test_pour_rows_are_upper_triangular():
+    # p_nu holds m_nu prod_i m_i(nu)! times, and no m_mu before nu
+    for n in range(1, 9):
+        for r, (nu, row) in enumerate(zip(enumerate_partitions(n),
+                                          pour_rows(n))):
+            assert row[0] == (r, prod(map(factorial, Counter(nu).values())))
 
 
-def _reference_dstar(f):
-    """The operator by generic Poly arithmetic over every ordered pair,
-    each quotient checked by multiplying back."""
-    N = f.N
-    out = Poly(N, {e: c * sum(k * (k - 1) for k in e)
-                   for e, c in f.terms.items()})
-    for i in range(N):
-        for j in range(N):
-            if i != j:
-                g = Poly.variable(N, i, 2) * _diff(f, i) \
-                    - Poly.variable(N, j, 2) * _diff(f, j)
-                q = Poly(N, _divide_by_difference(g.terms, i, j))
-                assert (Poly.variable(N, i) - Poly.variable(N, j)) * q == g
-                out = out + q
-    return out
+def test_dstar_rows_are_lower_triangular():
+    # the diagonal is sum_k lam_k (lam_k - 1 - 2k), 0 at (3) and stored
+    # only when not 0; every other entry is a sum of 2(a - b) over
+    # pairs, so even and positive, and left of it
+    assert dstar_rows(3)[2] == [(1, 6)]
+    for n in range(1, 9):
+        for r, (lam, row) in enumerate(zip(enumerate_partitions(n),
+                                           dstar_rows(n))):
+            off = dict(row)
+            assert off.pop(r, 0) == sum(p * (p - 1 - 2 * k)
+                                        for k, p in enumerate(lam, 1))
+            assert all(c < r and v > 0 and v % 2 == 0
+                       for c, v in off.items())
 
 
-def test_dstar_matches_reference_on_p_and_s():
-    for n in range(1, 5):
-        table = build_character_table(n)
-        for N in (n + 1, n + 2):
-            for lam in enumerate_partitions(n):
-                for f in (expand_p(lam, N),
-                          schur_from_characters(lam, N, table=table)):
-                    assert apply_dstar(f) == _reference_dstar(f)
+def test_dstar_rows_n2_example():
+    # D m_11 = (4N - 6) m_11; D m_2 = (4N - 2) m_2 + 4 m_11
+    assert dstar_rows(2) == [[(0, -6)], [(0, 4), (1, -2)]]
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(1, 4), st.integers(1, 2), st.data())
-def test_dstar_matches_reference_on_p_combinations(n, extra, data):
-    N = n + extra
-    f = Poly(N)
-    for lam in enumerate_partitions(n):
-        f = f + expand_p(lam, N).scale(data.draw(st.integers(-5, 5)))
-    assert apply_dstar(f) == _reference_dstar(f)
+def test_dstar_rows_match_transition(dense, dense_product):
+    # R (D - 2nN) = (2 A - 2n) R: D p_nu = 2n(N-1) p_nu + 2 sum_s A[nu][s] p_s
+    for n in range(2, 8):
+        R, D = dense(pour_rows(n)), dense(dstar_rows(n))
+        A = dense(build_transition_matrix(n))
+        rhs = dense_product(A, R)
+        expect = [[2 * x - 2 * n * y for x, y in zip(line, r_line)]
+                  for line, r_line in zip(rhs, R)]
+        assert dense_product(R, D) == expect
 
 
-def test_dstar_on_p1_and_constants():
-    for N in range(2, 6):
-        p1 = power_sum(1, N)
-        assert apply_dstar(p1) == p1.scale(2 * (N - 1))
-    assert apply_dstar(Poly.constant(3, 7)) == Poly(3)
+def test_schur_polynomials(from_monomials):
+    for n in range(1, 7):
+        index = enumerate_partitions(n)
+        rows = kostka_rows(build_character_table(n))
+        # s_n = h_n and s_1^n = e_n: every m_mu once, and m_1^n alone
+        assert rows[-1] == [(c, 1) for c in range(len(index))]
+        assert rows[0] == [(0, 1)]
+        assert from_monomials(rows[-1], index, n + 1) == \
+            _complete_homogeneous(n, n + 1)
+        assert from_monomials(rows[0], index, n + 1) == _elementary(n, n + 1)
+    # s_21 = m_21 + 2 m_111
+    assert kostka_rows(build_character_table(3))[1] == [(0, 2), (1, 1)]
 
 
-def test_schur_polynomials():
-    table = build_character_table(3)
-    assert schur_from_characters((3,), 4, table=table) == \
-        _complete_homogeneous(3, 4)
-    assert schur_from_characters((1, 1, 1), 4, table=table) == \
-        _elementary(3, 4)
-    s21 = schur_from_characters((2, 1), 3, table=table)
-    assert s21.terms[(1, 1, 1)] == 2
+def test_schur_eigenfunctions(dense, dense_product):
+    # K (D - 2nN) = diag(2 rho - 2n) K, with K unitriangular
+    for n in range(1, 8):
+        index = enumerate_partitions(n)
+        K = dense(kostka_rows(build_character_table(n)))
+        assert all(K[r][r] == 1 and not any(K[r][r + 1:])
+                   for r in range(len(index)))
+        expect = [[(2 * rho(lam) - 2 * n) * x for x in line]
+                  for lam, line in zip(index, K)]
+        assert dense_product(K, dense(dstar_rows(n))) == expect
 
 
 def _ints_only(f):
     return all(type(c) is int for c in f.terms.values())
 
 
-def test_integer_polynomials_hold_ints():
+def test_integer_polynomials_hold_ints(from_monomials, power_product):
     for n in range(1, 5):
+        index = enumerate_partitions(n)
         table = build_character_table(n)
+        rows = [*dstar_rows(n), *pour_rows(n), *kostka_rows(table)]
+        assert all(type(v) is int for row in rows for _, v in row)
         N = n + 1
-        for lam in enumerate_partitions(n):
-            assert _ints_only(expand_p(lam, N))
-            assert _ints_only(apply_dstar(expand_p(lam, N)))
-            s = schur_from_characters(lam, N, table=table)
+        for lam, row in zip(index, kostka_rows(table)):
+            p = power_product(lam, N)
+            assert _ints_only(p) and _ints_only(apply_dstar(p))
+            s = from_monomials(row, index, N)
             assert _ints_only(s) and _ints_only(apply_dstar(s))
 
 
-def test_schur_rejects_one_changed_table_value():
-    # the first column is the hook formula, which CharacterTable checks
-    for n in (3, 4):
-        table = build_character_table(n)
-        N = n + 1
-        for r, lam in enumerate(table.index):
-            for c in range(1, len(table.index)):
-                for delta in (1, -1):
-                    values = [list(row) for row in table.values]
-                    values[r][c] += delta
-                    changed = CharacterTable(table.index, values)
-                    with pytest.raises(RuntimeError, match="Schur coefficient"):
-                        schur_from_characters(lam, N, table=changed)
-
-
-def test_fraction_coefficients_compare_equal():
+def test_fraction_coefficients_compare_equal(power_product):
     assert Poly(3, {(1, 0, 0): Fraction(1)}) == Poly.variable(3, 0)
     assert Poly(2, {(1, 0): Fraction(0)}) == Poly(2)
-    half = expand_p((1, 1), 2).scale(Fraction(1, 2))
+    half = power_product((1, 1), 2).scale(Fraction(1, 2))
     assert half.terms == {(2, 0): Fraction(1, 2), (1, 1): 1,
                           (0, 2): Fraction(1, 2)}
-    assert half.scale(2) == expand_p((1, 1), 2)
+    assert half.scale(2) == power_product((1, 1), 2)
     assert Poly.constant(2, Fraction(3)) == Poly.constant(2, 3)
-
-
-def test_schur_eigenfunctions():
-    for n in range(1, 5):
-        table = build_character_table(n)
-        N = n + 1
-        for lam in enumerate_partitions(n):
-            s = schur_from_characters(lam, N, table=table)
-            assert apply_dstar(s) == s.scale(2 * n * (N - 1) + 2 * rho(lam))
-
-
-def test_matrix_of_dstar_n2_example(dense):
-    # n=2, N=3: half the matrix minus 2(N-1) I is the transposed A_2
-    M = matrix_of_dstar(2, 3)
-    A = dense(build_transition_matrix(2))
-    for r in range(2):
-        for c in range(2):
-            expect = Fraction(A[c][r])
-            if r == c:
-                expect += 2 * (3 - 1)
-            assert M[r][c] == 2 * expect
-
-
-def test_matrix_of_dstar_matches_transition(dense):
-    for n in range(2, 5):
-        A = dense(build_transition_matrix(n))
-        size = len(A)
-        for N in (n + 1, n + 2):
-            M = matrix_of_dstar(n, N)
-            for r in range(size):
-                for c in range(size):
-                    expect = Fraction(A[c][r])
-                    if r == c:
-                        expect += n * (N - 1)
-                    assert M[r][c] == 2 * expect
-            assert all(M[d][d] == 2 * n * (N - 1) for d in range(size))
-
-
-def test_p_basis_requires_enough_variables():
-    with pytest.raises(ValueError):
-        p_basis_coords(power_sum(3, 3), 3, 3)
-
-
-def test_p_basis_rejects_what_power_sums_cannot_reproduce():
-    # the solve reads only monomials with weakly decreasing exponents;
-    # the reconstruction must catch a fault anywhere else
-    with pytest.raises(RuntimeError):
-        p_basis_coords(Poly.variable(4, 0, 3), 3, 4)
-    with pytest.raises(RuntimeError):
-        p_basis_coords(power_sum(3, 4) + Poly.variable(4, 3, 3), 3, 4)
-    with pytest.raises(RuntimeError):
-        p_basis_coords(power_sum(2, 4), 3, 4)
-
-
-def test_p_basis_roundtrip():
-    n, N = 4, 5
-    index = enumerate_partitions(n)
-    f = Poly(N)
-    want = {}
-    for i, lam in enumerate(index):
-        coeff = Fraction(i + 1, 3)
-        want[lam] = coeff
-        f = f + expand_p(lam, N).scale(coeff)
-    coords = p_basis_coords(f, n, N)
-    assert coords == want
 
 
 def test_omega():

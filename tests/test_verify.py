@@ -4,7 +4,7 @@ from bisect import insort
 
 import pytest
 
-from permfact import characters, counting, symfun, verify
+from permfact import characters, counting, oracle, symfun, verify
 from permfact.cli import main
 from permfact.characters import CharacterTable, build_character_table
 from permfact.verify import (run_battery, check_dstar, check_two_cycle,
@@ -133,32 +133,41 @@ def test_dimension_fault_is_reported(monkeypatch):
 
 
 def test_dstar_faults_are_located(monkeypatch):
-    apply, schur = symfun.apply_dstar, symfun.schur_from_characters
+    # D m_31 holds 12 m_211 at n = 4; 14 instead breaks K D = diag K there
+    rows = symfun.dstar_rows
 
-    def one_coefficient(f):  # D p_11 at N = 3 gains a p_2
-        out = apply(f)
-        return out + symfun.expand_p((2,), 3) \
-            if f == symfun.expand_p((1, 1), 3) else out
+    def changed(n):
+        out = rows(n)
+        if n == 4:
+            at = out[3].index((1, 12))  # row (3, 1), column (2, 1, 1)
+            out[3][at] = (1, 14)
+        return out
 
-    def not_eigen(lam, N, table):  # s_21 at N = 4 gains a p_3
-        out = schur(lam, N, table=table)
-        return out + symfun.power_sum(3, 4) if (lam, N) == ((2, 1), 4) \
-            else out
-
-    with monkeypatch.context() as m:
-        m.setattr(symfun, "apply_dstar", one_coefficient)
-        r = check_dstar(n_max=3)
-        assert (r.status, r.detail) == ("FAIL", "matrix (n=2, N=3) at (1,0)")
-    monkeypatch.setattr(symfun, "schur_from_characters", not_eigen)
-    r = check_dstar(n_max=3)
-    assert (r.status, r.detail) == ("FAIL", "eigenfunction (n=3, N=4, (2, 1))")
+    monkeypatch.setattr(symfun, "dstar_rows", changed)
+    r = check_dstar(n_max=5)
+    assert (r.status, r.detail) == \
+        ("FAIL", "eigenfunction (n=4) at ((3, 1), (2, 1, 1))")
 
 
 def test_dstar_dropped_pair_is_caught(monkeypatch):
-    divide = symfun._divide_by_difference
-    monkeypatch.setattr(symfun, "_divide_by_difference",
+    # the raw operator loses the (0, 1) quotient; the rows do not
+    divide = oracle._divide_by_difference
+    monkeypatch.setattr(oracle, "_divide_by_difference",
                         lambda g, i, j: {} if (i, j) == (0, 1)
                         else divide(g, i, j))
-    # the image is no longer symmetric, so no power-sum coordinates fit it
-    with pytest.raises(RuntimeError, match="re-expression"):
-        check_dstar(n_max=3)
+    r = check_dstar(n_max=3)
+    assert (r.status, r.detail) == ("FAIL", "raw operator (n=1, N=2) at (1,)")
+
+
+def test_kostka_rejects_one_changed_table_value():
+    # the first column is the hook formula, which CharacterTable checks
+    for n in (3, 4):
+        table = build_character_table(n)
+        for r in range(len(table.index)):
+            for c in range(1, len(table.index)):
+                for delta in (1, -1):
+                    values = [list(row) for row in table.values]
+                    values[r][c] += delta
+                    changed = CharacterTable(table.index, values)
+                    with pytest.raises(RuntimeError, match="Kostka number"):
+                        symfun.kostka_rows(changed)
