@@ -8,9 +8,9 @@ lengths as a third route. The raw-definition reference, explicit
 border strip tableaux, is oracle.enumerate_bst.
 """
 
-from functools import cache
+from functools import cache, lru_cache
 from itertools import accumulate
-from math import factorial
+from math import factorial, prod
 
 from .partitions import enumerate_partitions, check_partition, hook_lengths
 
@@ -118,15 +118,21 @@ def character_column(mu):
 
 def dimension_hook_formula(lam):
     """Number of standard Young tableaux of shape lam: n! over the
-    product of all hook lengths."""
-    lam = check_partition(lam)
+    product of all hook lengths. Memoized, so each distinct shape is
+    computed once."""
+    return _dimension(check_partition(lam))
+
+
+# the deep battery reads the 271 shapes of n <= 12 once per column that
+# holds them, and 512 keeps all of them; a CLI request reads each shape of
+# its one column once, so only a long-lived process gets hits
+@lru_cache(maxsize=512)
+def _dimension(lam):
     n = sum(lam)
-    prod = 1
-    for h in hook_lengths(lam):
-        prod *= h
-    dim, rest = divmod(factorial(n), prod)
+    hooks = prod(hook_lengths(lam))
+    dim, rest = divmod(factorial(n), hooks)
     if rest:
-        raise RuntimeError(f"hook product {prod} does not divide {n}!")
+        raise RuntimeError(f"hook product {hooks} does not divide {n}!")
     return dim
 
 

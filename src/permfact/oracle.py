@@ -12,7 +12,11 @@ tuples of images in one-line notation on {0, ..., n-1}, composed as
 (p * q)(x) = p(q(x)).
 
 count_brute walks S_n once per n, up to BRUTE_MAX_K, and keeps only
-the counts at one element of each cycle type.
+the counts at one element of each cycle type. The walk's inner loops
+run at C level: each transposition is one operator.itemgetter row over
+element indices, and a step sums the rows' gathers with map(sum, zip).
+count_tuples composes each tuple's product from its prefix's, one
+level at a time, and tallies the products of one (n, k) once.
 
 apply_dstar is the paper's operator on polynomials in N variables, the
 reference for symfun's integer rows; each divided difference is checked
@@ -24,9 +28,8 @@ to be exact:
 
 from collections import Counter, namedtuple
 from functools import cache
-from itertools import (combinations, permutations as _all_perms,
-                       product as _product)
-from operator import add
+from itertools import combinations, permutations as _all_perms
+from operator import add, itemgetter
 
 from .partitions import (enumerate_partitions, check_partition,
                          is_int_at_least, BRUTE_MAX_N, BRUTE_MAX_K)
@@ -42,7 +45,7 @@ def identity(n):
 
 
 def compose(p, q):
-    return tuple(p[q[i]] for i in range(len(p)))
+    return tuple(map(p.__getitem__, q))
 
 
 def transpositions(n):
@@ -92,23 +95,24 @@ def walk_distributions(n, kmax):
     """Factorization counts over the whole group.
 
     Returns (elements, index, vecs) where vecs[k][index[g]] is the number
-    of ordered k-tuples of transpositions multiplying to g.
-    """
+    of ordered k-tuples of transpositions multiplying to g: the k-tuples
+    ending in tau that multiply to g are the (k-1)-tuples multiplying to
+    g * tau, so vecs[k][i] sums vecs[k-1] at g_i * tau over every tau.
+    Row tau gathers those entries: an itemgetter over the indices of
+    the g * tau, each composed by itemgetter(*tau)."""
     elements = list(_all_perms(range(n)))
     index = {g: i for i, g in enumerate(elements)}
-    # tau_rows[t][i] = index of tau_t composed with element i
-    tau_rows = [[index[compose(tau, g)] for g in elements]
-                for tau in transpositions(n)]
+    rows = [itemgetter(*map(index.__getitem__,
+                            map(itemgetter(*tau), elements)))
+            for tau in transpositions(n)]
     v = [0] * len(elements)
     v[index[identity(n)]] = 1
-    vecs = [list(v)]
+    vecs = [v]
     for _ in range(kmax):
-        nxt = [0] * len(elements)
-        for row in tau_rows:
-            for gi, ti in enumerate(row):
-                nxt[gi] += v[ti]
-        v = nxt
-        vecs.append(list(v))
+        # S_1 has no transposition: every count past k = 0 is 0
+        v = list(map(sum, zip(*[row(v) for row in rows]))) if rows \
+            else [0] * len(v)
+        vecs.append(v)
     return elements, index, vecs
 
 
@@ -148,15 +152,19 @@ def count_tuples(mu, k):
     if n > TUPLE_MAX_N or k > TUPLE_MAX_K:
         raise ValueError(f"tuple enumeration capped at n <= {TUPLE_MAX_N}, "
                          f"k <= {TUPLE_MAX_K}")
-    target = class_representative(mu)
-    total = 0
-    for tup in _product(transpositions(n), repeat=k):
-        g = identity(n)
-        for tau in tup:
-            g = compose(g, tau)
-        if g == target:
-            total += 1
-    return total
+    return _tuple_products(n, k)[class_representative(mu)]
+
+
+@cache
+def _tuple_products(n, k):
+    """{g: number of k-tuples of transpositions of S_n with product g},
+    one product per tuple: each level composes every product of the
+    (k-1)-prefixes with every transposition on the right."""
+    compose_with = [itemgetter(*tau) for tau in transpositions(n)]
+    products = [identity(n)]
+    for _ in range(k):
+        products = [right(g) for g in products for right in compose_with]
+    return Counter(products)
 
 
 def build_raw_counts(n):

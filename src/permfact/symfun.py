@@ -6,7 +6,9 @@ image or expansion of lam:
     dstar_rows(n)       D - 2nN I, D the paper's operator (defined by
                         oracle.apply_dstar) in any N >= n variables
     pour_rows(n)        R[nu][mu], the coefficient of m_mu in p_nu
-    kostka_rows(table)  K, with s_lam = sum_mu K[lam][mu] m_mu
+    kostka_rows(table, pour)
+                        K, with s_lam = sum_mu K[lam][mu] m_mu, pour
+                        being pour_rows(n)
 """
 
 from collections import Counter
@@ -73,13 +75,12 @@ def pour_rows(n):
             for nu in index]
 
 
-def kostka_rows(table):
+def kostka_rows(table, pour):
     """K = chi diag(n!/z) R / n! from a character table of S_n, summed in
-    integers. An entry that is not a nonnegative integer flags a broken
-    table and raises RuntimeError."""
+    integers, with R = pour = pour_rows(n). An entry that is not a
+    nonnegative integer flags a broken table and raises RuntimeError."""
     n, index = table.n, table.index
     nfact = factorial(n)
-    pour = pour_rows(n)
     sizes = [class_size(nu) for nu in index]
     rows = []
     for lam, chi in zip(index, table.values):

@@ -49,9 +49,11 @@ def _key(t, P):
     return sum(P[p] for p in t)
 
 
-def _moves(key, P):
-    """Row t of A_n, for t the shape with this key, as (key of s, length
-    change, A[t][s]) triples, from the move rule on key's slots."""
+def _moves(key, P, joins=True):
+    """Row t of A_n, for t the shape with this key, from the move rule on
+    key's slots, as two lists of (key of s, A[t][s]) pairs: the cuts
+    (one part more), and the joins (one part fewer), left empty unless
+    joins is true. One decode of the slots feeds both."""
     b = P[1].bit_length() - 1
     mask = P[1] - 1
     parts = []  # (i, k_i) with k_i > 0, i ascending
@@ -61,21 +63,21 @@ def _moves(key, P):
             parts.append((i, x & mask))
         x >>= b
         i += 1
-    row = []
+    cuts, glued = [], []
     for at, (i, ki) in enumerate(parts):
         rest = key - P[i]
-        for j, kj in parts[at:]:
+        for j, kj in parts[at:] if joins else ():
             if i != j:
                 w = i * j * ki * kj
             elif ki > 1:
                 w = i * i * ki * (ki - 1) // 2
             else:
                 continue
-            row.append((rest - P[j] + P[i + j], -1, w))
+            glued.append((rest - P[j] + P[i + j], w))
         for a in range(1, i // 2 + 1):
             w = i * ki // 2 if 2 * a == i else i * ki
-            row.append((rest + P[a] + P[i - a], 1, w))
-    return row
+            cuts.append((rest + P[a] + P[i - a], w))
+    return cuts, glued
 
 
 def build_transition_matrix(n):
@@ -85,7 +87,7 @@ def build_transition_matrix(n):
     P = _slot_powers(n)
     keys = [_key(t, P) for t in enumerate_partitions(n)]
     rank = {key: r for r, key in enumerate(keys)}
-    return [sorted((rank[s], w) for s, _, w in _moves(key, P))
+    return [sorted((rank[s], w) for half in _moves(key, P) for s, w in half)
             for key in keys]
 
 
@@ -94,10 +96,13 @@ def walk_row(mu, k):
     the shapes that can still reach 1^n, read at 1^n.
 
     States are packed keys, grouped by length. A row is made by _moves
-    the first time the walk reaches its key, and split into cuts (one
-    part more) and joins (one part fewer). A state was kept, so its
+    the first time the walk reaches its key, as its cuts (one part
+    more) and its joins (one part fewer). A state was kept, so its
     cuts always can still reach 1^n; its joins can only while it is
-    longer than the shortest length that reaches 1^n."""
+    longer than the shortest length that reaches 1^n. That length only
+    grows as the walk goes on, so joins a state's first visit does not
+    need are never needed, and that visit makes its cuts alone: on a
+    minimal walk, k = n - len(mu), no join is made."""
     n = sum(mu)
     if n < 2:
         raise ValueError("transition matrix needs n >= 2")
@@ -115,9 +120,7 @@ def walk_row(mu, k):
             for t, c in states.items():
                 row = rows.get(t)
                 if row is None:
-                    moves = _moves(t, P)
-                    row = rows[t] = ([(s, w) for s, d, w in moves if d > 0],
-                                     [(s, w) for s, d, w in moves if d < 0])
+                    row = rows[t] = _moves(t, P, down is not None)
                 for s, w in row[0]:
                     up[s] = up.get(s, 0) + c * w
                 if down is not None:

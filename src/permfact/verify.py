@@ -393,7 +393,7 @@ def check_dstar(n_max=8):
         index = enumerate_partitions(n)
         dstar = symfun.dstar_rows(n)
         pour = symfun.pour_rows(n)
-        kostka = symfun.kostka_rows(build_character_table(n))
+        kostka = symfun.kostka_rows(build_character_table(n), pour)
         for r, (lam, row) in enumerate(zip(index, kostka)):
             if row[-1:] != [(r, 1)]:
                 return _result("diff-operator", False,

@@ -169,7 +169,7 @@ def test_criterion_09_differential_operator(dense, dense_product,
     for n in range(1, 6):
         index = enumerate_partitions(n)
         moves = build_transition_matrix(n) if n >= 2 else [[]]
-        kostka = kostka_rows(build_character_table(n))
+        kostka = kostka_rows(build_character_table(n), pour_rows(n))
         for N in (n + 1, n + 2):
             p = [power_product(nu, N) for nu in index]
             for p_nu, row in zip(p, moves):
@@ -187,7 +187,7 @@ def test_criterion_09_differential_operator(dense, dense_product,
         index = enumerate_partitions(n)
         D = dense(dstar_rows(n))
         R = dense(pour_rows(n))
-        K = dense(kostka_rows(build_character_table(n)))
+        K = dense(kostka_rows(build_character_table(n), pour_rows(n)))
         A = dense(build_transition_matrix(n)) if n >= 2 else [[0]]
         for r, line in enumerate(K):
             assert line[r] == 1 and not any(line[r + 1:])

@@ -116,6 +116,26 @@ def test_dimension_examples():
             assert dimension_hook_formula((a,) + (1,) * b) == comb(n - 1, b)
 
 
+def test_dimension_computed_once_per_shape(monkeypatch):
+    hooked = []
+    hooks = characters.hook_lengths
+
+    def counted(lam):
+        hooked.append(lam)
+        return hooks(lam)
+
+    monkeypatch.setattr(characters, "hook_lengths", counted)
+    characters._dimension.cache_clear()
+    for lam in [(3, 1), [3, 1], (2, 2), (3, 1), (2, 2)]:
+        dimension_hook_formula(lam)
+    assert hooked == [(3, 1), (2, 2)]
+    # the shape is checked before the memo is read
+    for lam in [(1, 3), (3, 0), (True, 1), (2.0, 1), ()]:
+        with pytest.raises(ValueError):
+            dimension_hook_formula(lam)
+    assert hooked == [(3, 1), (2, 2)]
+
+
 def test_dimension_two_hook_shapes():
     # shapes (a, c+1, 2^d, 1^(b-d-1)): multinomial closed form
     for a, b, c, d in [(2, 1, 1, 0), (3, 2, 1, 0), (3, 2, 2, 1), (4, 3, 2, 1),

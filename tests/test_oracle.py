@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import comb, prod
 
 import pytest
@@ -14,7 +14,7 @@ from permfact.oracle import (identity, compose, cycle_type, transpositions,
                              monomial_symmetric, apply_dstar,
                              _divide_by_difference)
 from permfact.partitions import enumerate_partitions
-from permfact.symfun import kostka_rows
+from permfact.symfun import kostka_rows, pour_rows
 
 
 def _verify_cut_glue(n):
@@ -40,6 +40,40 @@ def _same_cycle(p, i, j):
             return True
         x = p[x]
     return False
+
+
+def _reference_walk(n, kmax):
+    """walk_distributions by a triple loop: vecs[k][i] sums vecs[k-1] at
+    the index of tau * g_i over every transposition tau."""
+    elements = list(permutations(range(n)))
+    index = {g: i for i, g in enumerate(elements)}
+    tau_rows = [[index[compose(tau, g)] for g in elements]
+                for tau in transpositions(n)]
+    v = [0] * len(elements)
+    v[index[identity(n)]] = 1
+    vecs = [list(v)]
+    for _ in range(kmax):
+        nxt = [0] * len(elements)
+        for row in tau_rows:
+            for gi, ti in enumerate(row):
+                nxt[gi] += v[ti]
+        v = nxt
+        vecs.append(list(v))
+    return elements, index, vecs
+
+
+def _reference_tuples(mu, k):
+    """count_tuples by composing each k-tuple's product on its own."""
+    n = sum(mu)
+    target = class_representative(mu)
+    total = 0
+    for tup in product(transpositions(n), repeat=k):
+        g = identity(n)
+        for tau in tup:
+            g = compose(g, tau)
+        if g == target:
+            total += 1
+    return total
 
 
 def _verify_class_invariance(n, k):
@@ -148,6 +182,61 @@ def test_one_walk_per_n(monkeypatch):
     assert all(len(row) == BRUTE_MAX_K + 1 for row in memo.values())
 
 
+def test_walk_matches_triple_loop():
+    for n, kmax in [(n, BRUTE_MAX_K) for n in range(1, 7)] + [(7, 7)]:
+        assert walk_distributions(n, kmax) == _reference_walk(n, kmax), n
+    # S_1 has no transposition, S_2 one
+    assert walk_distributions(1, 2)[2] == [[1], [0], [0]]
+    assert walk_distributions(2, 3) == ([(0, 1), (1, 0)],
+                                        {(0, 1): 0, (1, 0): 1},
+                                        [[1, 0], [0, 1], [1, 0], [0, 1]])
+
+
+def test_tuple_products_match_literal_enumeration():
+    for n in range(1, 5):
+        for mu in enumerate_partitions(n):
+            for k in range(6):
+                assert count_tuples(mu, k) == _reference_tuples(mu, k), \
+                    (mu, k)
+
+
+def test_one_enumeration_per_size(monkeypatch):
+    calls = []
+    real = oracle.transpositions
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(oracle, "transpositions", counted)
+    oracle._tuple_products.cache_clear()
+    for n in (3, 4, 3, 4):
+        for mu in enumerate_partitions(n):
+            for k in (5, 0, 5, 2):
+                count_tuples(mu, k)
+    assert calls == [3, 3, 3, 4, 4, 4]
+    # the memo keeps one tally of products per size, not the tuples:
+    # five transpositions multiply to each odd permutation of S_4
+    memo = oracle._tuple_products(4, 5)
+    assert sorted(memo) == [g for g in permutations(range(4))
+                            if len(_cycle_lengths(g)) % 2]
+    assert sum(memo.values()) == comb(4, 2) ** 5
+
+
+def test_tuple_errors_build_no_enumeration(monkeypatch):
+    def no_enumeration(n, k):
+        raise AssertionError("enumeration built for a rejected query")
+
+    monkeypatch.setattr(oracle, "_tuple_products", no_enumeration)
+    for mu, k, message in (((5,), 2, "n <= 4"), ((2, 2, 1), 0, "n <= 4"),
+                           ((3,), 6, "k <= 5"), ((3,), -1, "nonnegative"),
+                           ((2, 1), True, "nonnegative"),
+                           ((2, 0, 1), 1, "invalid part"),
+                           ((), 1, "nonempty")):
+        with pytest.raises(ValueError, match=message):
+            count_tuples(mu, k)
+
+
 def test_tuple_enumeration_matches_dp():
     for n in range(2, 5):
         for mu in enumerate_partitions(n):
@@ -251,7 +340,7 @@ def _reference_dstar(f):
 def test_dstar_matches_reference_on_p_and_s(from_monomials, power_product):
     for n in range(1, 5):
         index = enumerate_partitions(n)
-        kostka = kostka_rows(build_character_table(n))
+        kostka = kostka_rows(build_character_table(n), pour_rows(n))
         for N in (n + 1, n + 2):
             for lam, row in zip(index, kostka):
                 for f in (power_product(lam, N),

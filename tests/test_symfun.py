@@ -94,7 +94,7 @@ def test_dstar_rows_match_transition(dense, dense_product):
 def test_schur_polynomials(from_monomials):
     for n in range(1, 7):
         index = enumerate_partitions(n)
-        rows = kostka_rows(build_character_table(n))
+        rows = kostka_rows(build_character_table(n), pour_rows(n))
         # s_n = h_n and s_1^n = e_n: every m_mu once, and m_1^n alone
         assert rows[-1] == [(c, 1) for c in range(len(index))]
         assert rows[0] == [(0, 1)]
@@ -102,14 +102,15 @@ def test_schur_polynomials(from_monomials):
             _complete_homogeneous(n, n + 1)
         assert from_monomials(rows[0], index, n + 1) == _elementary(n, n + 1)
     # s_21 = m_21 + 2 m_111
-    assert kostka_rows(build_character_table(3))[1] == [(0, 2), (1, 1)]
+    s21 = kostka_rows(build_character_table(3), pour_rows(3))[1]
+    assert s21 == [(0, 2), (1, 1)]
 
 
 def test_schur_eigenfunctions(dense, dense_product):
     # K (D - 2nN) = diag(2 rho - 2n) K, with K unitriangular
     for n in range(1, 8):
         index = enumerate_partitions(n)
-        K = dense(kostka_rows(build_character_table(n)))
+        K = dense(kostka_rows(build_character_table(n), pour_rows(n)))
         assert all(K[r][r] == 1 and not any(K[r][r + 1:])
                    for r in range(len(index)))
         expect = [[(2 * rho(lam) - 2 * n) * x for x in line]
@@ -125,10 +126,11 @@ def test_integer_polynomials_hold_ints(from_monomials, power_product):
     for n in range(1, 5):
         index = enumerate_partitions(n)
         table = build_character_table(n)
-        rows = [*dstar_rows(n), *pour_rows(n), *kostka_rows(table)]
+        pour = pour_rows(n)
+        rows = [*dstar_rows(n), *pour, *kostka_rows(table, pour)]
         assert all(type(v) is int for row in rows for _, v in row)
         N = n + 1
-        for lam, row in zip(index, kostka_rows(table)):
+        for lam, row in zip(index, kostka_rows(table, pour)):
             p = power_product(lam, N)
             assert _ints_only(p) and _ints_only(apply_dstar(p))
             s = from_monomials(row, index, N)

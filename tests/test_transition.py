@@ -75,30 +75,41 @@ def test_moves_equal_raw_count_rows():
         index = enumerate_partitions(n)
         P = _slot_powers(n)
         for t, row in zip(index, build_raw_counts(n)):
-            moves = _moves(_key(t, P), P)
-            got = {_shape(s, n): v for s, _, v in moves}
-            assert len(got) == len(moves), t  # one triple per target
+            cuts, joins = _moves(_key(t, P), P)
+            got = {_shape(s, n): v for s, v in cuts + joins}
+            assert len(got) == len(cuts) + len(joins), t  # one per target
             assert got == {index.ordered[s]: v for s, v in row}, t
-            assert all(len(_shape(s, n)) - len(t) == d
-                       for s, d, _ in moves), t
+            assert all(len(_shape(s, n)) == len(t) + 1 for s, _ in cuts), t
+            assert all(len(_shape(s, n)) == len(t) - 1 for s, _ in joins), t
+            assert _moves(_key(t, P), P, joins=False) == (cuts, []), t
 
 
 def test_walk_rows_stay_in_band(monkeypatch):
     """At k = n - len(mu), and at k one larger, a join leaves no way back
-    to 1^n, so the walk makes rows only for shapes no shorter than mu."""
-    made = []
+    to 1^n, so the walk makes rows only for shapes no shorter than mu. At
+    k = n - len(mu) every step must cut, so no row's joins are made; two
+    steps more, some are."""
+    made, joined = [], []
 
-    def recording(key, P):
+    def recording(key, P, joins=True):
+        row = _moves(key, P, joins)
         made.append(_shape(key, len(P) - 1))
-        return _moves(key, P)
+        joined.extend(row[1])
+        return row
 
     monkeypatch.setattr(transition, "_moves", recording)
     for n in range(2, 10):
         for mu in enumerate_partitions(n):
-            for k in (n - len(mu), n - len(mu) + 1):
+            for k in (n - len(mu), n - len(mu) + 1, n - len(mu) + 2):
                 made.clear()
+                joined.clear()
                 walk_row(mu, k)
-                assert all(len(t) >= len(mu) for t in made), (mu, k)
+                if k < n - len(mu) + 2:
+                    assert all(len(t) >= len(mu) for t in made), (mu, k)
+                if k == n - len(mu):
+                    assert joined == [], mu
+                if k == n - len(mu) + 2:
+                    assert joined, mu
 
 
 # n at either side of each point where the slot width b = n.bit_length()

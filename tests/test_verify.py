@@ -159,10 +159,20 @@ def test_dstar_dropped_pair_is_caught(monkeypatch):
     assert (r.status, r.detail) == ("FAIL", "raw operator (n=1, N=2) at (1,)")
 
 
+def test_dstar_pours_once_per_n(monkeypatch):
+    # K and the power-sum clause read one R per n
+    calls = []
+    pour = symfun.pour_rows
+    monkeypatch.setattr(symfun, "pour_rows",
+                        lambda n: calls.append(n) or pour(n))
+    assert check_dstar(n_max=6).status == "PASS"
+    assert calls == [1, 2, 3, 4, 5, 6]
+
+
 def test_kostka_rejects_one_changed_table_value():
     # the first column is the hook formula, which CharacterTable checks
     for n in (3, 4):
-        table = build_character_table(n)
+        table, pour = build_character_table(n), symfun.pour_rows(n)
         for r in range(len(table.index)):
             for c in range(1, len(table.index)):
                 for delta in (1, -1):
@@ -170,4 +180,4 @@ def test_kostka_rejects_one_changed_table_value():
                     values[r][c] += delta
                     changed = CharacterTable(table.index, values)
                     with pytest.raises(RuntimeError, match="Kostka number"):
-                        symfun.kostka_rows(changed)
+                        symfun.kostka_rows(changed, pour)
