@@ -1,4 +1,6 @@
-"""Command-line front end.
+"""Command-line front end: parsing, the size ceiling, the table of
+count routes (ROUTES, which `--method` reads) and dispatch; serialize
+writes every byte of stdout.
 
 Subcommands: count, matrix, chartable, series, verify, partitions.
 Exit codes: 0 on success, 1 when a verification or cross-method check
@@ -10,6 +12,7 @@ the characters, a count never loads the battery.
 """
 
 import argparse
+import importlib
 import sys
 
 from . import serialize
@@ -36,146 +39,92 @@ def _ceiling(args, n, least=1):
 
 
 def _resolve_mu(args):
+    """--mu as a partition, checked against --n and the ceiling."""
     mu = serialize.parse_partition(args.mu)
     n = sum(mu)
     if args.n is not None and args.n != n:
         raise UsageError(f"--mu {args.mu} sums to {n}, not --n {args.n}")
-    return mu, _ceiling(args, n)
+    _ceiling(args, n)
+    return mu
+
+
+def _module(name):
+    """permfact.<name>, imported when a route runs, not before."""
+    return importlib.import_module(f".{name}", __package__)
+
+
+# Every count route, in the order `--method all` runs them, as name:
+# (reason, count). reason(mu, k) is why the route cannot answer, or
+# None. count(mu, k, max_n) reads the route's function from its module
+# only when it runs, so a function rebound there is the one called.
+ROUTES = {
+    "spectral": (
+        lambda mu, k: None,
+        lambda mu, k, max_n: _module("counting").count_spectral(mu, k)),
+    "matrix": (  # A_n needs two cells to cut or glue
+        lambda mu, k: None if sum(mu) >= 2 else "needs n >= 2",
+        lambda mu, k, max_n: _module("counting").count_matrix_method(mu, k)),
+    "goulden": (
+        lambda mu, k: None if len(mu) == 1 else "needs a single-part mu",
+        lambda mu, k, max_n: _module("counting").count_goulden(sum(mu), k)),
+    "two-cycle": (
+        lambda mu, k: None if len(mu) == 2 else "needs a two-part mu",
+        lambda mu, k, max_n: _module("counting").count_two_cycle(
+            *mu, k, max_n=max_n)),
+    "brute": (
+        lambda mu, k: None if sum(mu) <= BRUTE_MAX_N and k <= BRUTE_MAX_K
+        else f"capped at n <= {BRUTE_MAX_N}, k <= {BRUTE_MAX_K}",
+        lambda mu, k, max_n: _module("oracle").count_brute(mu, k)),
+}
 
 
 def cmd_count(args, out):
-    from .counting import (count_spectral, count_matrix_method,
-                           count_goulden, count_two_cycle)
-    mu, n = _resolve_mu(args)
-    methods = [args.method] if args.method != "all" else None
-    if methods is None:
-        methods = ["spectral"]
-        if n >= 2:  # A_n needs two cells to cut or glue
-            methods.append("matrix")
-        if len(mu) == 1:
-            methods.append("goulden")
-        if len(mu) == 2:
-            methods.append("two-cycle")
-        if n <= BRUTE_MAX_N and args.k <= BRUTE_MAX_K:
-            methods.append("brute")
-    results = []
-    for method in methods:
-        if method == "spectral":
-            value = count_spectral(mu, args.k)
-        elif method == "matrix":
-            value = count_matrix_method(mu, args.k)
-        elif method == "goulden":
-            if len(mu) != 1:
-                raise UsageError("goulden method needs a single-part mu")
-            value = count_goulden(n, args.k)
-        elif method == "two-cycle":
-            if len(mu) != 2:
-                raise UsageError("two-cycle method needs a two-part mu")
-            value = count_two_cycle(mu[0], mu[1], args.k, max_n=args.max_n)
-        else:  # brute
-            if n > BRUTE_MAX_N:
-                raise UsageError(f"brute method capped at n <= {BRUTE_MAX_N}")
-            from .oracle import count_brute
-            value = count_brute(mu, args.k)
-        results.append((method, value))
-    distinct = {v for _, v in results}
-    verdict = "MATCH" if len(distinct) == 1 else "MISMATCH"
-    if args.format == "json":
-        if len(results) == 1:
-            out.write(serialize.count_json(n, mu, args.k, results[0][1],
-                                           results[0][0]))
-        else:
-            out.write(serialize.counts_json(n, mu, args.k, results))
-    elif args.format == "csv":
-        out.write("method,count\n")
-        for method, value in results:
-            out.write(f"{method},{value}\n")
-    else:
-        for method, value in results:
-            out.write(f"c_{args.k}({serialize.partition_label(mu)}) "
-                      f"[{method}] = {value}\n")
-        if len(results) > 1:
-            out.write(f"{verdict}\n")
+    mu = _resolve_mu(args)
+    names = list(ROUTES) if args.method == "all" else [args.method]
+    why = {name: ROUTES[name][0](mu, args.k) for name in names}
+    if args.method != "all" and why[args.method]:
+        raise UsageError(f"{args.method} method {why[args.method]}")
+    results = [(name, ROUTES[name][1](mu, args.k, args.max_n))
+               for name in names if why[name] is None]
+    verdict = "MATCH" if len({v for _, v in results}) == 1 else "MISMATCH"
+    out.write(serialize.count(args.format, mu, args.k, results, verdict))
     return EXIT_OK if verdict == "MATCH" else EXIT_MISMATCH
 
 
 def cmd_matrix(args, out):
     from .transition import build_transition_matrix
-    n = _ceiling(args, args.n, least=2)
-    index = enumerate_partitions(n)
-    rows = build_transition_matrix(n)
-    pairs = sorted(((rho(lam), lam) for lam in index)) if args.eigen else None
-    if args.format == "json":
-        out.write(serialize.matrix_json(index, rows, eigen=pairs))
-    elif args.format == "csv":
-        out.write(serialize.matrix_csv(index, rows))
-        if pairs:
-            for r, lam in pairs:
-                out.write(f"eigenvalue,{serialize.partition_label(lam)},{r}\n")
-    else:
-        out.write(serialize.matrix_text(index, rows))
-        if pairs:
-            out.write("eigenvalues:\n")
-            for r, lam in pairs:
-                out.write(f"  {serialize.partition_label(lam)}: {r}\n")
+    index = enumerate_partitions(_ceiling(args, args.n, least=2))
+    eigen = sorted((rho(lam), lam) for lam in index) if args.eigen else None
+    out.write(serialize.matrix(args.format, index,
+                               build_transition_matrix(index.n), eigen))
     return EXIT_OK
 
 
 def cmd_chartable(args, out):
     from .characters import build_character_table
     table = build_character_table(_ceiling(args, args.n))
-    if args.format == "json":
-        out.write(serialize.chartable_json(table))
-    elif args.format == "csv":
-        out.write(serialize.chartable_csv(table))
-    else:
-        out.write(serialize.chartable_text(table))
+    out.write(serialize.chartable(args.format, table))
     return EXIT_OK
 
 
 def cmd_series(args, out):
     from .counting import series_prefix
-    mu, _ = _resolve_mu(args)
-    prefix = series_prefix(mu, args.terms)
-    if args.format == "json":
-        out.write(serialize.series_json(prefix))
-    elif args.format == "csv":
-        out.write("k,coefficient\n")
-        for j, c in enumerate(prefix.coefficients):
-            out.write(f"{j},{serialize.fraction_str(c)}\n")
-    else:
-        coeffs = ", ".join(serialize.fraction_str(c)
-                           for c in prefix.coefficients)
-        out.write(f"f_{serialize.partition_label(mu)} coefficients: "
-                  f"{coeffs}\n")
-        out.write(f"nonzero only for k = {prefix.nonzero_parity} (mod 2)\n")
+    mu = _resolve_mu(args)
+    out.write(serialize.series(args.format, series_prefix(mu, args.terms)))
     return EXIT_OK
 
 
 def cmd_verify(args, out):
     from .verify import run_battery
     results = run_battery(deep=args.deep)
-    width = max(len(r.name) for r in results)
-    failed = 0
-    for r in results:
-        out.write(f"{r.name:<{width}}  {r.status:<4}  {r.detail}\n")
-        if r.status == "FAIL":
-            failed += 1
-    out.write(f"{len(results) - failed}/{len(results)} checks passed\n")
-    return EXIT_OK if failed == 0 else EXIT_MISMATCH
+    out.write(serialize.report(results))
+    return EXIT_OK if all(r.status == "PASS" for r in results) \
+        else EXIT_MISMATCH
 
 
 def cmd_partitions(args, out):
     index = enumerate_partitions(_ceiling(args, args.n))
-    if args.format == "json":
-        out.write(serialize.partitions_json(index))
-    elif args.format == "csv":
-        out.write("rank,partition\n")
-        for i, lam in enumerate(index):
-            out.write(f"{i},{serialize.partition_label(lam)}\n")
-    else:
-        for lam in index:
-            out.write(serialize.partition_label(lam) + "\n")
+    out.write(serialize.partitions(args.format, index))
     return EXIT_OK
 
 
@@ -187,7 +136,7 @@ def build_parser():
                     "matrix-power, closed-form and brute-force methods.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, cache=False, mu=False, k=False, terms=False):
+    def common(p, *required, cache=False):
         p.add_argument("--n", type=int, default=None,
                        help="size of the permutations")
         p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N,
@@ -198,21 +147,14 @@ def build_parser():
             p.add_argument("--cache-dir", default=None,
                            help="ignored; accepted so that older command "
                                 "lines still run")
-        if mu:
-            p.add_argument("--mu", required=True,
-                           help="cycle type, comma-separated parts")
-        if k:
-            p.add_argument("--k", type=int, required=True,
-                           help="number of transpositions")
-        if terms:
-            p.add_argument("--terms", type=int, required=True,
-                           help="series coefficients to compute")
+        for flag, kind, text in required:
+            p.add_argument(flag, type=kind, required=True, help=text)
 
+    mu = ("--mu", str, "cycle type, comma-separated parts")
     p = sub.add_parser("count", help="count factorizations into k transpositions")
-    common(p, cache=True, mu=True, k=True)
-    p.add_argument("--method", default="all",
-                   choices=("spectral", "matrix", "brute", "goulden",
-                            "two-cycle", "all"))
+    common(p, mu, ("--k", int, "number of transpositions"),
+           cache=True)
+    p.add_argument("--method", default="all", choices=[*ROUTES, "all"])
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("matrix", help="emit the transition matrix")
@@ -226,7 +168,8 @@ def build_parser():
     p.set_defaults(func=cmd_chartable)
 
     p = sub.add_parser("series", help="generating function coefficients c_k/k!")
-    common(p, cache=True, mu=True, terms=True)
+    common(p, mu, ("--terms", int, "series coefficients to compute"),
+           cache=True)
     p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("verify", help="run the cross-validation battery")
@@ -243,11 +186,18 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    # exact counts of any size reach stdout: the int -> str conversion
+    # limit of Python 3.11+ (and 3.10.7+) is lifted for this call only
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    set_limit(0)
     try:
         return args.func(args, sys.stdout)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        set_limit(limit)
 
 
 if __name__ == "__main__":

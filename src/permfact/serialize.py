@@ -1,9 +1,11 @@
-"""Deterministic JSON, CSV and text-grid emitters.
+"""Every byte the CLI writes to stdout, in text, csv or json.
 
-Counts routinely exceed 64-bit range, so every scalar result is written
-as a decimal string. Partition parts are small and stay plain integers.
-Output is byte-stable for a fixed input: fixed orderings, no
-timestamps.
+One function per result kind (partitions, matrix, chartable, count,
+series, and the battery's report) takes the format and returns one
+str; the CLI writes it once. Counts routinely exceed 64-bit range, so
+json writes every scalar result as a decimal string. Partition parts
+are small and stay plain integers. Output is byte-stable for a fixed
+input: fixed orderings, no timestamps.
 """
 
 from functools import cache, partial
@@ -28,11 +30,6 @@ def parse_partition(text):
     if not parts or any(p < 1 for p in parts):
         raise ValueError(f"partition parts must be positive: {text!r}")
     return parts
-
-
-def partitions_json(index):
-    return dumps({"n": index.n, "count": len(index),
-                  "partitions": [list(lam) for lam in index]})
 
 
 def _spliced_rows(rows, size, cell, sep):
@@ -66,85 +63,98 @@ def _joined_rows(rows, cell, sep):
         yield sep.join(map(cell, row))
 
 
-def _grid_json(index, key, format_rows, **extra):
-    """dumps({n, order, key: rows, **extra}), written a row at a time;
-    format_rows(cell, sep) yields each row as one line of its cells."""
-    order = [partition_label(lam) for lam in index]
-    head, tail = dumps({"n": index.n, "order": order, key: None, **extra}
-                       ).split(f'"{key}": null')
-    grid = ",\n".join(f"    [\n{line}\n    ]" for line in
-                      format_rows(lambda v: f'      "{v}"', ",\n"))
-    return "".join([head, f'"{key}": [\n', grid, "\n  ]", tail])
-
-
-def _grid_csv(index, format_rows):
+def _grid(fmt, index, key, format_rows, values, **extra):
+    """The grid in fmt, written a row at a time: format_rows(cell, sep)
+    yields each row as one line of its cells. json is dumps({n, order,
+    key: rows, **extra}); text cells are as wide as the widest label or
+    value in values. A 0 is never wider than a label, so values may
+    leave out the zeros."""
     labels = [partition_label(lam) for lam in index]
-    lines = [",".join(["", *labels])]  # no cell ever needs quoting
-    lines += [f"{label},{line}" for label, line in
-              zip(labels, format_rows(str, ","))]
+    if fmt == "json":
+        head, tail = dumps({"n": index.n, "order": labels, key: None,
+                            **extra}).split(f'"{key}": null')
+        grid = ",\n".join(f"    [\n{line}\n    ]" for line in
+                          format_rows(lambda v: f'      "{v}"', ",\n"))
+        return "".join([head, f'"{key}": [\n', grid, "\n  ]", tail])
+    if fmt == "csv":
+        lines = [",".join(["", *labels])]  # no cell ever needs quoting
+        lines += [f"{label},{line}" for label, line in
+                  zip(labels, format_rows(str, ","))]
+    else:
+        width = max(map(len, labels + list(map(str, set(values)))))
+        lines = [" " * (width + 2) + " ".join(f"{s:>{width}}" for s in labels)]
+        lines += [f"{label:>{width}}: {line}" for label, line in
+                  zip(labels, format_rows(f"{{:>{width}}}".format, " "))]
     return "\n".join(lines) + "\n"
 
 
-def _grid_text(index, values, format_rows):
-    """Cells as wide as the widest label or value in values. A 0 is never
-    wider than a label, so values may leave out the zeros."""
+def partitions(fmt, index):
+    if fmt == "json":
+        return dumps({"n": index.n, "count": len(index),
+                      "partitions": [list(lam) for lam in index]})
     labels = [partition_label(lam) for lam in index]
-    width = max(map(len, labels + list(map(str, set(values)))))
-    lines = [" " * (width + 2) + " ".join(f"{s:>{width}}" for s in labels)]
-    lines += [f"{label:>{width}}: {line}" for label, line in
-              zip(labels, format_rows(f"{{:>{width}}}".format, " "))]
-    return "\n".join(lines) + "\n"
+    if fmt == "csv":
+        return "".join(["rank,partition\n",
+                        *(f"{i},{s}\n" for i, s in enumerate(labels))])
+    return "".join(f"{s}\n" for s in labels)
 
 
-def matrix_json(index, rows, eigen=None):
-    extra = {} if eigen is None else {"eigenvalues": [
-        [partition_label(lam), str(r)] for r, lam in eigen]}
-    return _grid_json(index, "entries",
-                      partial(_spliced_rows, rows, len(index)), **extra)
+def matrix(fmt, index, rows, eigen=None):
+    """A_n's sparse rows as a grid, then eigen's (rho, lam) pairs, if
+    given, as the json key eigenvalues or as lines after the grid."""
+    pairs = [[partition_label(lam), str(r)] for r, lam in eigen or ()]
+    grid = _grid(fmt, index, "entries",
+                 partial(_spliced_rows, rows, len(index)),
+                 (v for row in rows for _, v in row),
+                 **({} if eigen is None else {"eigenvalues": pairs}))
+    if fmt == "json" or not pairs:
+        return grid
+    if fmt == "csv":
+        return grid + "".join(f"eigenvalue,{s},{r}\n" for s, r in pairs)
+    return grid + "".join(["eigenvalues:\n",
+                           *(f"  {s}: {r}\n" for s, r in pairs)])
 
 
-def matrix_csv(index, rows):
-    return _grid_csv(index, partial(_spliced_rows, rows, len(index)))
+def chartable(fmt, table):
+    return _grid(fmt, table.index, "values",
+                 partial(_joined_rows, table.values),
+                 (v for row in table.values for v in row))
 
 
-def matrix_text(index, rows):
-    return _grid_text(index, (v for pairs in rows for _, v in pairs),
-                      partial(_spliced_rows, rows, len(index)))
+def count(fmt, mu, k, results, verdict):
+    """The (method, count) pairs of results; the text names the verdict
+    when more than one route ran."""
+    if fmt == "json":
+        body = ({"count": str(results[0][1]), "method": results[0][0]}
+                if len(results) == 1 else
+                {"counts": {m: str(v) for m, v in results}})
+        return dumps({"n": sum(mu), "mu": list(mu), "k": k, **body})
+    if fmt == "csv":
+        return "".join(["method,count\n",
+                        *(f"{m},{v}\n" for m, v in results)])
+    label = partition_label(mu)
+    lines = [f"c_{k}({label}) [{m}] = {v}\n" for m, v in results]
+    return "".join(lines + [f"{verdict}\n"] * (len(results) > 1))
 
 
-def chartable_json(table):
-    return _grid_json(table.index, "values",
-                      partial(_joined_rows, table.values))
+def series(fmt, prefix):
+    coefficients = list(map(str, prefix.coefficients))
+    if fmt == "json":
+        return dumps({"n": sum(prefix.mu), "mu": list(prefix.mu),
+                      "coefficients": coefficients,
+                      "nonzero_parity": prefix.nonzero_parity})
+    if fmt == "csv":
+        return "".join(["k,coefficient\n",
+                        *(f"{j},{c}\n" for j, c in enumerate(coefficients))])
+    return (f"f_{partition_label(prefix.mu)} coefficients: "
+            f"{', '.join(coefficients)}\n"
+            f"nonzero only for k = {prefix.nonzero_parity} (mod 2)\n")
 
 
-def chartable_csv(table):
-    return _grid_csv(table.index, partial(_joined_rows, table.values))
-
-
-def chartable_text(table):
-    return _grid_text(table.index, (v for row in table.values for v in row),
-                      partial(_joined_rows, table.values))
-
-
-def count_json(n, mu, k, count, method):
-    return dumps({"n": n, "mu": list(mu), "k": k,
-                  "count": str(count), "method": method})
-
-
-def counts_json(n, mu, k, results):
-    return dumps({"n": n, "mu": list(mu), "k": k,
-                  "counts": {method: str(v) for method, v in results}})
-
-
-def fraction_str(q):
-    return str(q.numerator) if q.denominator == 1 \
-        else f"{q.numerator}/{q.denominator}"
-
-
-def series_json(prefix):
-    return dumps({
-        "n": sum(prefix.mu),
-        "mu": list(prefix.mu),
-        "coefficients": [fraction_str(c) for c in prefix.coefficients],
-        "nonzero_parity": prefix.nonzero_parity,
-    })
+def report(results):
+    """The battery's CheckResults, one line each, and the tally."""
+    width = max(len(r.name) for r in results)
+    passed = sum(r.status == "PASS" for r in results)
+    return "".join([*(f"{r.name:<{width}}  {r.status:<4}  {r.detail}\n"
+                      for r in results),
+                    f"{passed}/{len(results)} checks passed\n"])

@@ -2,13 +2,13 @@
 checked at configurable scale in exact arithmetic.
 
 Each check returns a CheckResult; run_battery collects all of them.
-Default scales keep the battery under a minute; deep mode raises the
-ceilings to the full ranges the test suite also pins. The comparisons
-the checks run (move rule against raw tally, eigen relations, matrix
-structure, parity census, the operator's identities on symfun's integer
-rows) live here too: the route modules hold only what a count, a
-series, a matrix or a table runs, and oracle holds the raw-definition
-references.
+A check's signature defaults are the battery's default scales; deep
+mode raises them to the full ranges the test suite also pins. The
+comparisons the checks run (move rule against raw tally, eigen
+relations, matrix structure, parity census, the operator's identities
+on symfun's integer rows) live here too: the route modules hold only
+what a count, a series, a matrix or a table runs, and oracle holds the
+raw-definition references.
 """
 
 from collections import Counter, namedtuple
@@ -152,7 +152,7 @@ def _first_difference(index, xs, ys):
 # the checks
 
 
-def check_rho_symmetries(n_max=15):
+def check_rho_symmetries(n_max=12):
     for n in range(1, n_max + 1):
         index = enumerate_partitions(n)
         bound = comb(n, 2)
@@ -168,7 +168,7 @@ def check_rho_symmetries(n_max=15):
     return _result("rho-conjugation", True, f"n <= {n_max}")
 
 
-def check_census(n_max=15):
+def check_census(n_max=12):
     for n in range(1, n_max + 1):
         parity_census(n)  # raises on violation for n > 2
         index = enumerate_partitions(n)
@@ -180,7 +180,7 @@ def check_census(n_max=15):
     return _result("parity-census", True, f"n <= {n_max}")
 
 
-def check_matrix_vs_raw(n_max=8):
+def check_matrix_vs_raw(n_max=7):
     for n in range(2, n_max + 1):
         bad = matrix_equality_offenders(n)
         if bad:
@@ -188,7 +188,7 @@ def check_matrix_vs_raw(n_max=8):
     return _result("matrix-vs-raw", True, f"n <= {n_max}")
 
 
-def check_matrix_structure(n_max=15):
+def check_matrix_structure(n_max=12):
     for n in range(2, n_max + 1):
         mat = transition.build_transition_matrix(n)
         expect = comb(n, 2)
@@ -206,7 +206,7 @@ def check_matrix_structure(n_max=15):
     return _result("matrix-structure", True, f"n <= {n_max}")
 
 
-def check_eigen_relations(n_max=10):
+def check_eigen_relations(n_max=8):
     for n in range(2, n_max + 1):
         table = build_character_table(n)
         mat = transition.build_transition_matrix(n)
@@ -219,7 +219,7 @@ def check_eigen_relations(n_max=10):
     return _result("eigen-relations", True, f"n <= {n_max}")
 
 
-def check_character_table(n_max=10):
+def check_character_table(n_max=8):
     """Row orthogonality, conjugation symmetry, hook dimensions, Burnside.
 
     Rows a <= b are orthogonal, sum_nu chi_a(nu) chi_b(nu) / z_nu =
@@ -266,7 +266,7 @@ def check_mn_vs_tableaux(n_max=6):
     return _result("strip-recursion-vs-tableaux", True, f"n <= {n_max}")
 
 
-def check_mn_order_invariance(n_max=7):
+def check_mn_order_invariance(n_max=6):
     for n in range(2, n_max + 1):
         index = enumerate_partitions(n)
         orders = [set(_perms(mu)) for mu in index]
@@ -279,12 +279,17 @@ def check_mn_order_invariance(n_max=7):
     return _result("strip-order-invariance", True, f"n <= {n_max}")
 
 
-def check_counts_agree(n_max=8, k_max=16, brute_n_max=5, brute_k_max=6):
-    for n in range(1, n_max + 1):
+def check_counts_agree(n_max=8, k_max=12, walk_n_max=8, brute_n_max=5,
+                       brute_k_max=5):
+    """The spectral expansion against: A_n^k applied to the unit vector
+    at 1^n, at every k <= k_max; walk_row, the route of `count --method
+    matrix`, at k = n - l, where the walk makes no join, and n - l + 2,
+    the least k that needs joins; and brute force."""
+    for n in range(1, max(n_max, walk_n_max) + 1):
         index = enumerate_partitions(n)
         # count_spectral(mu, k) for every k, from one expansion per mu
         expansions = [spectral_expansion(mu) for mu in index]
-        if n >= 2:
+        if 2 <= n <= n_max:
             mat = transition.build_transition_matrix(n)
             e = [0] * len(index)
             e[0] = 1
@@ -295,6 +300,12 @@ def check_counts_agree(n_max=8, k_max=16, brute_n_max=5, brute_k_max=6):
                         return _result("spectral-vs-matrix", False,
                                        f"(n={n}, mu={mu}, k={k})")
                 v = transition.matrix_power_apply(mat, 1, v)
+        if 2 <= n <= walk_n_max:
+            for mu, expansion in zip(index, expansions):
+                for k in (n - len(mu), n - len(mu) + 2):
+                    if transition.walk_row(mu, k) != expansion.at(k):
+                        return _result("spectral-vs-matrix", False,
+                                       f"walk (n={n}, mu={mu}, k={k})")
         if n <= brute_n_max:
             for mu, expansion in zip(index, expansions):
                 for k in range(brute_k_max + 1):
@@ -303,6 +314,7 @@ def check_counts_agree(n_max=8, k_max=16, brute_n_max=5, brute_k_max=6):
                                        f"brute (n={n}, mu={mu}, k={k})")
     return _result("spectral-vs-matrix", True,
                    f"matrix n <= {n_max} k <= {k_max}, "
+                   f"walk n <= {walk_n_max} k in {{n-l, n-l+2}}, "
                    f"brute n <= {brute_n_max} k <= {brute_k_max}")
 
 
@@ -322,7 +334,7 @@ def check_two_cycle(n_max=8):
     return _result("two-cycle-closed-form", True, f"n <= {n_max}, every k")
 
 
-def check_parity_vanishing(n_max=7, k_max=12):
+def check_parity_vanishing(n_max=6, k_max=10):
     for n in range(2, n_max + 1):
         for mu in enumerate_partitions(n):
             expansion = spectral_expansion(mu)
@@ -335,7 +347,7 @@ def check_parity_vanishing(n_max=7, k_max=12):
     return _result("count-parity", True, f"n <= {n_max}, k <= {k_max}")
 
 
-def check_mass_conservation(n_max=7, k_max=10):
+def check_mass_conservation(n_max=6, k_max=8):
     for n in range(2, n_max + 1):
         index = enumerate_partitions(n)
         expansions = [spectral_expansion(mu) for mu in index]
@@ -347,7 +359,7 @@ def check_mass_conservation(n_max=7, k_max=10):
     return _result("mass-conservation", True, f"n <= {n_max}, k <= {k_max}")
 
 
-def check_dual_bases(n_max=10):
+def check_dual_bases(n_max=8):
     """sum_lam chi^lam(mu) chi^lam(nu) = z_mu delta(mu, nu), the power-sum
     side of the Hall pairing; character-table checks the Schur side. Each
     column must also equal character_column's, the route count_spectral
@@ -370,7 +382,7 @@ def check_dual_bases(n_max=10):
     return _result("dual-bases", True, f"n <= {n_max}")
 
 
-def check_omega(n_max=6):
+def check_omega(n_max=5):
     for n in range(1, n_max + 1):
         table = build_character_table(n)
         for lam in table.index:
@@ -427,29 +439,27 @@ def check_dstar(n_max=8):
 
 
 def run_battery(deep=False):
-    """Run every check; deep mode raises all ceilings. A check that
-    raises is a fault, not a result: the exception propagates."""
-    specs = [
-        (check_rho_symmetries, {"n_max": 15 if deep else 12}),
-        (check_census, {"n_max": 15 if deep else 12}),
-        (check_matrix_vs_raw, {"n_max": 10 if deep else 7}),
-        (check_matrix_structure, {"n_max": 15 if deep else 12}),
-        (check_eigen_relations, {"n_max": 12 if deep else 8}),
-        (check_character_table, {"n_max": 12 if deep else 8}),
-        (check_mn_vs_tableaux, {"n_max": 8 if deep else 6}),
-        (check_mn_order_invariance, {"n_max": 9 if deep else 6}),
-        (check_counts_agree, {"n_max": 12 if deep else 8,
-                              "k_max": 30 if deep else 12,
-                              "brute_n_max": 7 if deep else 5,
-                              "brute_k_max": 7 if deep else 5}),
-        (check_goulden, {"n_max": 10 if deep else 8}),
-        (check_two_cycle, {"n_max": 10 if deep else 8}),
-        (check_parity_vanishing, {"n_max": 8 if deep else 6,
-                                  "k_max": 16 if deep else 10}),
-        (check_mass_conservation, {"n_max": 7 if deep else 6,
-                                   "k_max": 10 if deep else 8}),
-        (check_dual_bases, {"n_max": 12 if deep else 8}),
-        (check_omega, {"n_max": 6 if deep else 5}),
-        (check_dstar, {"n_max": 12 if deep else 8}),
+    """Run every check, at its default scales, or in deep mode at the
+    scales below. A check that raises is a fault, not a result: the
+    exception propagates."""
+    # built per call, so a check rebound on this module is the one run
+    deep_scales = [
+        (check_rho_symmetries, {"n_max": 15}),
+        (check_census, {"n_max": 15}),
+        (check_matrix_vs_raw, {"n_max": 10}),
+        (check_matrix_structure, {"n_max": 15}),
+        (check_eigen_relations, {"n_max": 12}),
+        (check_character_table, {"n_max": 12}),
+        (check_mn_vs_tableaux, {"n_max": 8}),
+        (check_mn_order_invariance, {"n_max": 9}),
+        (check_counts_agree, {"n_max": 12, "k_max": 30, "walk_n_max": 10,
+                              "brute_n_max": 7, "brute_k_max": 7}),
+        (check_goulden, {"n_max": 10}),
+        (check_two_cycle, {"n_max": 10}),
+        (check_parity_vanishing, {"n_max": 8, "k_max": 16}),
+        (check_mass_conservation, {"n_max": 7, "k_max": 10}),
+        (check_dual_bases, {"n_max": 12}),
+        (check_omega, {"n_max": 6}),
+        (check_dstar, {"n_max": 12}),
     ]
-    return [fn(**kw) for fn, kw in specs]
+    return [check(**(scales if deep else {})) for check, scales in deep_scales]

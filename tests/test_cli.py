@@ -1,17 +1,22 @@
+import argparse
+import contextlib
 import csv
+import hashlib
 import importlib
 import io
 import json
 import os
 import subprocess
 import sys
+from math import factorial
 
 import pytest
 
 import permfact
-from permfact import characters, serialize
+from permfact import characters, cli, serialize
 from permfact.characters import build_character_table
-from permfact.cli import main, build_parser
+from permfact.cli import main, build_parser, ROUTES
+from permfact.counting import spectral_expansion
 from permfact.partitions import enumerate_partitions, rho
 from permfact.transition import build_transition_matrix
 
@@ -469,3 +474,141 @@ def test_count_past_column_cap_exits_2(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.endswith("COLUMN_MAX_STATES = 5\n"), err
+
+
+FORMATS = ("text", "csv", "json")
+
+
+def _grid():
+    """Every subcommand but verify in every format: partitions,
+    chartable and matrix with and without --eigen at n = 0..13; series
+    for every mu of n <= 8 at 1, 3 and 12 terms; count for every mu of
+    n <= 8 by every method at k = 0, 1, n - l, n - l + 2, 12 and 17."""
+    for n in range(14):
+        for fmt in FORMATS:
+            yield ["partitions", "--n", str(n), "--format", fmt]
+            yield ["chartable", "--n", str(n), "--format", fmt]
+            yield ["matrix", "--n", str(n), "--format", fmt]
+            yield ["matrix", "--n", str(n), "--format", fmt, "--eigen"]
+    methods = ("spectral", "matrix", "goulden", "two-cycle", "brute", "all")
+    for n in range(1, 9):
+        for mu in enumerate_partitions(n):
+            literal = ",".join(map(str, mu))
+            ks = sorted({0, 1, n - len(mu), n - len(mu) + 2, 12, 17})
+            for fmt in FORMATS:
+                for terms in (1, 3, 12):
+                    yield ["series", "--mu", literal, "--terms", str(terms),
+                           "--format", fmt]
+                for k in ks:
+                    for method in methods:
+                        yield ["count", "--mu", literal, "--k", str(k),
+                               "--method", method, "--format", fmt]
+
+
+@pytest.fixture
+def one_parser(monkeypatch):
+    """main with one parser for every call: building it is most of the
+    time of a call that exits at once."""
+    parser = build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+
+
+def _quiet_main(argv):
+    """main's exit code and stdout, stderr dropped."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def test_stdout_and_exit_codes_match_recorded_digest(one_parser):
+    # stdout and exit code of 7,620 invocations, hashed: the recorded
+    # digest pins every output format byte for byte (stderr is not hashed)
+    digest = hashlib.sha256()
+    for argv in _grid():
+        code, out = _quiet_main(argv)
+        digest.update(repr((argv, code, out)).encode())
+    assert digest.hexdigest() == \
+        "ada423b617fbcd5f5be4dbd11b5e50b0c73d40b879642983499bec1e6873e288"
+
+
+def test_method_choices_are_the_route_table():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    method = next(a for a in sub.choices["count"]._actions
+                  if a.dest == "method")
+    assert list(ROUTES) == ["spectral", "matrix", "goulden", "two-cycle",
+                            "brute"]
+    assert list(method.choices) == [*ROUTES, "all"]
+
+
+def test_all_runs_every_route_in_reach(one_parser):
+    # spectral always; matrix from n = 2; a closed form where mu has one
+    # or two parts; brute force within n <= 7, k <= 16
+    for n in range(1, 9):
+        for mu in enumerate_partitions(n):
+            for k in range(18):
+                expected = ["spectral"] + ["matrix"] * (n >= 2) \
+                    + ["goulden"] * (len(mu) == 1) \
+                    + ["two-cycle"] * (len(mu) == 2) \
+                    + ["brute"] * (n <= 7 and k <= 16)
+                code, out = _quiet_main(["count", "--mu",
+                                         ",".join(map(str, mu)),
+                                         "--k", str(k), "--format", "csv"])
+                lines = out.splitlines()
+                assert code == 0 and lines[0] == "method,count", (mu, k)
+                assert [line.split(",")[0] for line in lines[1:]] == \
+                    expected, (mu, k)
+
+
+def test_named_route_out_of_reach_exits_2(capsys):
+    for method, mu, k in (("matrix", "1", 0), ("goulden", "3,1", 2),
+                          ("two-cycle", "3", 2), ("two-cycle", "2,1,1", 1),
+                          ("brute", "4,4", 2), ("brute", "2,1", 17)):
+        code, out, err = run_cli(["count", "--mu", mu, "--k", str(k),
+                                  "--method", method], capsys)
+        assert (code, out) == (2, ""), (method, mu)
+        assert err.startswith(f"error: {method} method "), err
+
+
+@contextlib.contextmanager
+def _digits_unlimited():
+    """No limit on int -> str conversion inside, where Python has one."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_count_of_any_size_reaches_stdout(capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    mu, k = (20, 12, 8), 10001
+    with _digits_unlimited():
+        digits = str(spectral_expansion(mu).at(k))
+    assert len(digits) > 4300
+    argv = ["count", "--mu", "20,12,8", "--k", str(k), "--max-n", "40",
+            "--method", "spectral", "--format"]
+    outs = {}
+    for fmt in FORMATS:
+        code, outs[fmt], _ = run_cli(argv + [fmt], capsys)
+        assert code == 0, fmt
+        # main lifts the limit for its own call only
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() \
+            == limit
+    assert outs["text"] == f"c_{k}(20+12+8) [spectral] = {digits}\n"
+    assert outs["csv"] == f"method,count\nspectral,{digits}\n"
+    assert json.loads(outs["json"])["count"] == digits
+
+
+def test_series_of_any_size_reaches_stdout(capsys):
+    # c_k(2) = 1 at odd k, so coefficient k is 1/k!; 1699! has 4,741 digits
+    code, out, _ = run_cli(["series", "--mu", "2", "--terms", "1700",
+                            "--format", "csv"], capsys)
+    assert code == 0
+    with _digits_unlimited():
+        assert out.splitlines()[-1] == f"1699,1/{factorial(1699)}"

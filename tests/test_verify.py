@@ -4,7 +4,8 @@ from bisect import insort
 
 import pytest
 
-from permfact import characters, counting, oracle, symfun, verify
+from permfact import (characters, counting, oracle, symfun, transition,
+                      verify)
 from permfact.cli import main
 from permfact.characters import CharacterTable, build_character_table
 from permfact.verify import (run_battery, check_dstar, check_two_cycle,
@@ -18,6 +19,57 @@ def test_quick_battery_passes():
     failures = [r for r in results if r.status != "PASS"]
     assert not failures, failures
     assert len(results) == 16
+
+
+DEFAULT_REPORT = """\
+rho-conjugation              PASS  n <= 12
+parity-census                PASS  n <= 12
+matrix-vs-raw                PASS  n <= 7
+matrix-structure             PASS  n <= 12
+eigen-relations              PASS  n <= 8
+character-table              PASS  n <= 8
+strip-recursion-vs-tableaux  PASS  n <= 6
+strip-order-invariance       PASS  n <= 6
+spectral-vs-matrix           PASS  matrix n <= 8 k <= 12, \
+walk n <= 8 k in {n-l, n-l+2}, brute n <= 5 k <= 5
+single-cycle-closed-form     PASS  n <= 8, every k
+two-cycle-closed-form        PASS  n <= 8, every k
+count-parity                 PASS  n <= 6, k <= 10
+mass-conservation            PASS  n <= 6, k <= 8
+dual-bases                   PASS  n <= 8
+omega-involution             PASS  n <= 5
+diff-operator                PASS  n <= 8, every N >= n; \
+raw operator n <= 5, N in {n+1, n+2}
+16/16 checks passed
+"""
+
+
+def test_default_report_is_pinned(capsys):
+    # the whole report, as CI pins the deep one: a dropped check or a
+    # lowered default scale fails
+    assert main(["verify"]) == 0
+    assert capsys.readouterr().out == DEFAULT_REPORT
+
+
+def _seed_walk(monkeypatch, old, new):
+    """transition.walk_row with one phrase of its source replaced."""
+    source = inspect.getsource(transition.walk_row)
+    assert source.count(old) == 1
+    namespace = dict(vars(transition))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(transition, "walk_row", namespace["walk_row"])
+
+
+def test_walk_joining_one_step_late_fails_the_count_check(monkeypatch):
+    _seed_walk(monkeypatch, "if length > need", "if length > need + 1")
+    r = verify.check_counts_agree()
+    assert (r.status, r.detail) == ("FAIL", "walk (n=2, mu=(1, 1), k=2)")
+
+
+def test_minimal_walk_reading_zero_fails_the_count_check(monkeypatch):
+    _seed_walk(monkeypatch, "len(mu) + k >= n", "len(mu) + k > n")
+    r = verify.check_counts_agree()
+    assert (r.status, r.detail) == ("FAIL", "walk (n=2, mu=(1, 1), k=0)")
 
 
 def test_seeded_fault_is_located():
