@@ -1,6 +1,6 @@
-"""Command-line front end: parsing, the size ceiling, the table of
-count routes (ROUTES, which `--method` reads) and dispatch; serialize
-writes every byte of stdout.
+"""Command-line front end: parsing, the size ceiling and dispatch;
+serialize writes every byte of stdout. `count` reads its routes from
+counting.ROUTES and checks `--method` against that table.
 
 Subcommands: count, matrix, chartable, series, verify, partitions.
 Exit codes: 0 on success, 1 when a verification or cross-method check
@@ -12,12 +12,11 @@ the characters, a count never loads the battery.
 """
 
 import argparse
-import importlib
+import functools
 import sys
 
 from . import serialize
-from .partitions import (enumerate_partitions, rho, DEFAULT_MAX_N,
-                         BRUTE_MAX_N, BRUTE_MAX_K)
+from .partitions import enumerate_partitions, rho, DEFAULT_MAX_N
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -48,43 +47,17 @@ def _resolve_mu(args):
     return mu
 
 
-def _module(name):
-    """permfact.<name>, imported when a route runs, not before."""
-    return importlib.import_module(f".{name}", __package__)
-
-
-# Every count route, in the order `--method all` runs them, as name:
-# (reason, count). reason(mu, k) is why the route cannot answer, or
-# None. count(mu, k, max_n) reads the route's function from its module
-# only when it runs, so a function rebound there is the one called.
-ROUTES = {
-    "spectral": (
-        lambda mu, k: None,
-        lambda mu, k, max_n: _module("counting").count_spectral(mu, k)),
-    "matrix": (  # A_n needs two cells to cut or glue
-        lambda mu, k: None if sum(mu) >= 2 else "needs n >= 2",
-        lambda mu, k, max_n: _module("counting").count_matrix_method(mu, k)),
-    "goulden": (
-        lambda mu, k: None if len(mu) == 1 else "needs a single-part mu",
-        lambda mu, k, max_n: _module("counting").count_goulden(sum(mu), k)),
-    "two-cycle": (
-        lambda mu, k: None if len(mu) == 2 else "needs a two-part mu",
-        lambda mu, k, max_n: _module("counting").count_two_cycle(
-            *mu, k, max_n=max_n)),
-    "brute": (
-        lambda mu, k: None if sum(mu) <= BRUTE_MAX_N and k <= BRUTE_MAX_K
-        else f"capped at n <= {BRUTE_MAX_N}, k <= {BRUTE_MAX_K}",
-        lambda mu, k, max_n: _module("oracle").count_brute(mu, k)),
-}
-
-
 def cmd_count(args, out):
+    from .counting import ROUTES
+    if args.method not in (*ROUTES, "all"):
+        raise UsageError(f"unknown method {args.method!r}; choose from "
+                         f"{', '.join(ROUTES)} or all")
     mu = _resolve_mu(args)
     names = list(ROUTES) if args.method == "all" else [args.method]
     why = {name: ROUTES[name][0](mu, args.k) for name in names}
     if args.method != "all" and why[args.method]:
         raise UsageError(f"{args.method} method {why[args.method]}")
-    results = [(name, ROUTES[name][1](mu, args.k, args.max_n))
+    results = [(name, ROUTES[name][1](mu, args.k))
                for name in names if why[name] is None]
     verdict = "MATCH" if len({v for _, v in results}) == 1 else "MISMATCH"
     out.write(serialize.count(args.format, mu, args.k, results, verdict))
@@ -128,7 +101,9 @@ def cmd_partitions(args, out):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The parser, built once per process: main reuses it."""
     parser = argparse.ArgumentParser(
         prog="permfact",
         description="Exact counts of permutation factorizations into "
@@ -154,7 +129,8 @@ def build_parser():
     p = sub.add_parser("count", help="count factorizations into k transpositions")
     common(p, mu, ("--k", int, "number of transpositions"),
            cache=True)
-    p.add_argument("--method", default="all", choices=[*ROUTES, "all"])
+    p.add_argument("--method", default="all",
+                   help="a count route, or all that can answer")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("matrix", help="emit the transition matrix")
@@ -184,8 +160,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     # exact counts of any size reach stdout: the int -> str conversion
     # limit of Python 3.11+ (and 3.10.7+) is lifted for this call only
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()

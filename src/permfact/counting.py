@@ -1,4 +1,4 @@
-"""Counting factorizations into k transpositions, four ways.
+"""Counting factorizations into k transpositions, and the table of routes.
 
 c_k(mu) = (1/n!) * sum_r a_r r^k, a combination of geometric sequences
 in k, is one Expansion with a weight a_r per distinct eigenvalue r. The
@@ -6,15 +6,16 @@ spectral route sums chi^lam(1^n) chi^lam(mu) over the lam of column mu
 with rho_lam = r; the closed forms for one and two cycles build the same
 object from formulas. Counts, series and the battery evaluate or compare
 expansions; count_matrix_method walks row mu of the transition matrix
-instead. All four agree; the test suite holds them to that.
+instead. `count` and the battery read ROUTES, so a route added there is
+run and compared with no other edit.
 """
 
 from collections import namedtuple
 from math import comb, factorial
 
+from . import transition
 from .partitions import (check_partition, is_int_at_least, rho, z_value,
-                         DEFAULT_MAX_N)
-from .transition import walk_row
+                         BRUTE_MAX_N, BRUTE_MAX_K)
 
 
 class Expansion(namedtuple("Expansion", "n weights")):
@@ -71,8 +72,8 @@ def count_spectral(mu, k):
 
 
 def count_matrix_method(mu, k):
-    """c_k(mu) as the entry (A^k)[mu][1^n], walked from row mu of A_n."""
-    return walk_row(check_partition(mu), k)
+    """c_k(mu) = (A^k)[mu][1^n] by transition.walk_row, read when it runs."""
+    return transition.walk_row(check_partition(mu), k)
 
 
 def goulden_expansion(n):
@@ -167,13 +168,41 @@ def two_cycle_expansion(m, k_small):
                                   in two_cycle_terms(m, k_small)))
 
 
-def count_two_cycle(m, k_small, k, max_n=DEFAULT_MAX_N):
-    """c_k((m, k_small)) from the two-cycle closed form. The one entry point
-    with a size ceiling, kept because the benchmark's checks pass one."""
-    n = m + k_small
-    if n > max_n:
-        raise ValueError(f"n={n} above ceiling {max_n}")
+def count_two_cycle(m, k_small, k, max_n=None):
+    """c_k((m, k_small)) from the two-cycle closed form. max_n, when given,
+    is a size ceiling; it is kept because the benchmark's checks pass one."""
+    if max_n is not None and m + k_small > max_n:
+        raise ValueError(f"n={m + k_small} above ceiling {max_n}")
     return two_cycle_expansion(m, k_small).at(k)
+
+
+# ---------------------------------------------------------------------------
+# the table of count routes
+
+
+def _count_brute(mu, k):
+    from . import oracle  # loaded only where brute force runs
+    return oracle.count_brute(mu, k)
+
+
+# Every count route, in the order `count --method all` runs them, as name:
+# (reason, count). reason(mu, k) is why the route cannot answer, or None;
+# count(mu, k) reads its function by name when it runs, so rebinding works.
+ROUTES = {
+    "spectral": (lambda mu, k: None, lambda mu, k: count_spectral(mu, k)),
+    "matrix": (lambda mu, k: None if sum(mu) >= 2 else "needs n >= 2",
+               lambda mu, k: count_matrix_method(mu, k)),
+    "goulden": (
+        lambda mu, k: None if len(mu) == 1 else "needs a single-part mu",
+        lambda mu, k: count_goulden(sum(mu), k)),
+    "two-cycle": (
+        lambda mu, k: None if len(mu) == 2 else "needs a two-part mu",
+        lambda mu, k: count_two_cycle(*mu, k)),
+    "brute": (
+        lambda mu, k: None if sum(mu) <= BRUTE_MAX_N and k <= BRUTE_MAX_K
+        else f"capped at n <= {BRUTE_MAX_N}, k <= {BRUTE_MAX_K}",
+        _count_brute),
+}
 
 
 # ---------------------------------------------------------------------------

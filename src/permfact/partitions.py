@@ -10,9 +10,9 @@ from math import factorial
 import operator
 from collections import Counter
 
-DEFAULT_MAX_N = 20  # the default of --max-n and of count_two_cycle's ceiling
-# brute-force ceilings, here so that the CLI reads them without loading
-# the oracle; oracle exports them too
+DEFAULT_MAX_N = 20  # the default of --max-n
+# brute-force ceilings, here so that the brute row of counting.ROUTES
+# reads them without loading the oracle; oracle exports them too
 BRUTE_MAX_N = 7
 BRUTE_MAX_K = 16
 

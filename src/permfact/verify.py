@@ -18,7 +18,7 @@ from math import comb, factorial
 from . import oracle, transition, symfun
 from .characters import (build_character_table, character_column,
                          dimension_offenders, mn_character)
-from .counting import (goulden_expansion, spectral_expansion,
+from .counting import (ROUTES, goulden_expansion, spectral_expansion,
                        two_cycle_expansion)
 from .partitions import (enumerate_partitions, conjugate, class_size, rho,
                          z_value)
@@ -281,37 +281,33 @@ def check_mn_order_invariance(n_max=6):
 
 def check_counts_agree(n_max=8, k_max=12, walk_n_max=8, brute_n_max=5,
                        brute_k_max=5):
-    """The spectral expansion against: A_n^k applied to the unit vector
-    at 1^n, at every k <= k_max; walk_row, the route of `count --method
-    matrix`, at k = n - l, where the walk makes no join, and n - l + 2,
-    the least k that needs joins; and brute force."""
-    for n in range(1, max(n_max, walk_n_max) + 1):
+    """The spectral expansion against A_n^k e_(1^n) at every k <= k_max, and
+    every other row of ROUTES that can answer at k = n-l, n-l+2 (the walk
+    without and with joins) for n <= walk_n_max, k <= brute_k_max for n <=
+    brute_n_max."""
+    rows = [(name, row) for name, row in ROUTES.items() if name != "spectral"]
+    for n in range(1, max(n_max, walk_n_max, brute_n_max) + 1):
         index = enumerate_partitions(n)
         # count_spectral(mu, k) for every k, from one expansion per mu
         expansions = [spectral_expansion(mu) for mu in index]
         if 2 <= n <= n_max:
             mat = transition.build_transition_matrix(n)
-            e = [0] * len(index)
-            e[0] = 1
-            v = e
+            v = [1] + [0] * (len(index) - 1)  # the unit vector at 1^n
             for k in range(k_max + 1):
                 for pos, mu in enumerate(index):
                     if expansions[pos].at(k) != v[pos]:
                         return _result("spectral-vs-matrix", False,
                                        f"(n={n}, mu={mu}, k={k})")
                 v = transition.matrix_power_apply(mat, 1, v)
-        if 2 <= n <= walk_n_max:
-            for mu, expansion in zip(index, expansions):
-                for k in (n - len(mu), n - len(mu) + 2):
-                    if transition.walk_row(mu, k) != expansion.at(k):
+        for mu, expansion in zip(index, expansions):
+            ks = {n - len(mu), n - len(mu) + 2} if n <= walk_n_max else set()
+            ks |= set(range(brute_k_max + 1)) if n <= brute_n_max else set()
+            for k in sorted(ks):
+                c = expansion.at(k)
+                for name, (reason, count) in rows:
+                    if reason(mu, k) is None and count(mu, k) != c:
                         return _result("spectral-vs-matrix", False,
-                                       f"walk (n={n}, mu={mu}, k={k})")
-        if n <= brute_n_max:
-            for mu, expansion in zip(index, expansions):
-                for k in range(brute_k_max + 1):
-                    if oracle.count_brute(mu, k) != expansion.at(k):
-                        return _result("spectral-vs-matrix", False,
-                                       f"brute (n={n}, mu={mu}, k={k})")
+                                       f"{name} (n={n}, mu={mu}, k={k})")
     return _result("spectral-vs-matrix", True,
                    f"matrix n <= {n_max} k <= {k_max}, "
                    f"walk n <= {walk_n_max} k in {{n-l, n-l+2}}, "
@@ -335,16 +331,25 @@ def check_two_cycle(n_max=8):
 
 
 def check_parity_vanishing(n_max=6, k_max=10):
+    """c_k(mu) = 0 unless k >= n - l and k = n - l mod 2; and the eigenvalue
+    pairing a_-r = (-1)^(n-l) a_r of each expansion, from conjugating
+    lam, which makes c_k vanish at every k of the other parity."""
     for n in range(2, n_max + 1):
         for mu in enumerate_partitions(n):
             expansion = spectral_expansion(mu)
             dist = n - len(mu)
+            weights = dict(expansion.weights)
+            for r, a in expansion.weights:
+                if weights.get(-r, 0) != (-1) ** dist * a:
+                    return _result("count-parity", False,
+                                   f"pairing (mu={mu}, r={r})")
             for k in range(k_max + 1):
                 c = expansion.at(k)
                 expect_zero = k < dist or (k - dist) % 2 == 1
                 if expect_zero != (c == 0):
                     return _result("count-parity", False, f"(mu={mu}, k={k})")
-    return _result("count-parity", True, f"n <= {n_max}, k <= {k_max}")
+    return _result("count-parity", True,
+                   f"n <= {n_max}, k <= {k_max}; a_-r = (-1)^(n-l) a_r")
 
 
 def check_mass_conservation(n_max=6, k_max=8):

@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import csv
 import hashlib
@@ -13,10 +12,10 @@ from math import factorial
 import pytest
 
 import permfact
-from permfact import characters, cli, serialize
+from permfact import characters, counting, serialize
 from permfact.characters import build_character_table
-from permfact.cli import main, build_parser, ROUTES
-from permfact.counting import spectral_expansion
+from permfact.cli import main
+from permfact.counting import ROUTES, spectral_expansion
 from permfact.partitions import enumerate_partitions, rho
 from permfact.transition import build_transition_matrix
 
@@ -257,12 +256,33 @@ def test_deterministic_outputs(capsys):
         assert first == second
 
 
-def test_parser_rejects_unknown_method():
-    parser = build_parser()
-    with pytest.raises(SystemExit) as exc:
-        parser.parse_args(["count", "--mu", "3", "--k", "1",
-                           "--method", "nope"])
-    assert exc.value.code == 2
+def test_method_takes_every_route_of_the_table_and_all(capsys):
+    # each name answers for some mu; any other name exits 2 naming them all
+    assert list(ROUTES) == ["spectral", "matrix", "goulden", "two-cycle",
+                            "brute"]
+    for method in [*ROUTES, "all"]:
+        codes = [run_cli(["count", "--mu", mu, "--k", "2", "--method",
+                          method], capsys)[0] for mu in ("3", "2,1")]
+        assert 0 in codes, method
+    code, out, err = run_cli(["count", "--mu", "3", "--k", "2",
+                              "--method", "nope"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: unknown method 'nope'; choose from spectral, " \
+        "matrix, goulden, two-cycle, brute or all\n"
+
+
+def test_a_row_added_to_the_table_is_a_method(monkeypatch, capsys):
+    monkeypatch.setitem(counting.ROUTES, "dummy", (
+        lambda mu, k: None, lambda mu, k: counting.count_spectral(mu, k)))
+    code, out, _ = run_cli(["count", "--mu", "2,2", "--k", "2",
+                            "--method", "dummy"], capsys)
+    assert (code, out) == (0, "c_2(2+2) [dummy] = 2\n")
+    # all runs it after the others, in table order
+    code, out, _ = run_cli(["count", "--mu", "2,2", "--k", "2",
+                            "--format", "csv"], capsys)
+    assert (code, out) == (0, "method,count\n" + "".join(
+        f"{name},2\n" for name in ("spectral", "matrix", "two-cycle",
+                                   "brute", "dummy")))
 
 
 def _whole_grid_output(command, n, fmt, eigen, dense):
@@ -505,14 +525,6 @@ def _grid():
                                "--method", method, "--format", fmt]
 
 
-@pytest.fixture
-def one_parser(monkeypatch):
-    """main with one parser for every call: building it is most of the
-    time of a call that exits at once."""
-    parser = build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
-
-
 def _quiet_main(argv):
     """main's exit code and stdout, stderr dropped."""
     out = io.StringIO()
@@ -522,7 +534,7 @@ def _quiet_main(argv):
     return code, out.getvalue()
 
 
-def test_stdout_and_exit_codes_match_recorded_digest(one_parser):
+def test_stdout_and_exit_codes_match_recorded_digest():
     # stdout and exit code of 7,620 invocations, hashed: the recorded
     # digest pins every output format byte for byte (stderr is not hashed)
     digest = hashlib.sha256()
@@ -533,17 +545,7 @@ def test_stdout_and_exit_codes_match_recorded_digest(one_parser):
         "ada423b617fbcd5f5be4dbd11b5e50b0c73d40b879642983499bec1e6873e288"
 
 
-def test_method_choices_are_the_route_table():
-    sub = next(a for a in build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    method = next(a for a in sub.choices["count"]._actions
-                  if a.dest == "method")
-    assert list(ROUTES) == ["spectral", "matrix", "goulden", "two-cycle",
-                            "brute"]
-    assert list(method.choices) == [*ROUTES, "all"]
-
-
-def test_all_runs_every_route_in_reach(one_parser):
+def test_all_runs_every_route_in_reach():
     # spectral always; matrix from n = 2; a closed form where mu has one
     # or two parts; brute force within n <= 7, k <= 16
     for n in range(1, 9):

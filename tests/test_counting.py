@@ -372,6 +372,15 @@ def test_walk_with_dropped_state_raises(monkeypatch):
         count_spectral((3, 1), 2)
 
 
+def test_two_cycle_ceiling_only_when_passed():
+    # Denes: (n-2)! m^(m-2) s^(s-2) / ((m-1)! (s-1)!) minimal factorizations
+    minimal = factorial(53) // (factorial(29) * factorial(24)) \
+        * 30 ** 28 * 25 ** 23
+    assert count_two_cycle(30, 25, 53) == minimal
+    with pytest.raises(ValueError, match="ceiling 40"):
+        count_two_cycle(30, 25, 53, max_n=40)
+
+
 def test_column_route_past_brute_force_sizes():
     """Oracles that hold at any n, at sizes past brute force and tables."""
     mu = (10, 8, 6, 3, 2, 1)

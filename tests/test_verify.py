@@ -34,7 +34,7 @@ spectral-vs-matrix           PASS  matrix n <= 8 k <= 12, \
 walk n <= 8 k in {n-l, n-l+2}, brute n <= 5 k <= 5
 single-cycle-closed-form     PASS  n <= 8, every k
 two-cycle-closed-form        PASS  n <= 8, every k
-count-parity                 PASS  n <= 6, k <= 10
+count-parity                 PASS  n <= 6, k <= 10; a_-r = (-1)^(n-l) a_r
 mass-conservation            PASS  n <= 6, k <= 8
 dual-bases                   PASS  n <= 8
 omega-involution             PASS  n <= 5
@@ -63,13 +63,40 @@ def _seed_walk(monkeypatch, old, new):
 def test_walk_joining_one_step_late_fails_the_count_check(monkeypatch):
     _seed_walk(monkeypatch, "if length > need", "if length > need + 1")
     r = verify.check_counts_agree()
-    assert (r.status, r.detail) == ("FAIL", "walk (n=2, mu=(1, 1), k=2)")
+    assert (r.status, r.detail) == ("FAIL", "matrix (n=2, mu=(1, 1), k=2)")
 
 
 def test_minimal_walk_reading_zero_fails_the_count_check(monkeypatch):
     _seed_walk(monkeypatch, "len(mu) + k >= n", "len(mu) + k > n")
     r = verify.check_counts_agree()
-    assert (r.status, r.detail) == ("FAIL", "walk (n=2, mu=(1, 1), k=0)")
+    assert (r.status, r.detail) == ("FAIL", "matrix (n=2, mu=(1, 1), k=0)")
+
+
+def test_a_row_added_to_the_table_is_compared(monkeypatch):
+    # a route off by one everywhere: the count check names its row
+    monkeypatch.setitem(counting.ROUTES, "dummy", (
+        lambda mu, k: None, lambda mu, k: counting.count_spectral(mu, k) + 1))
+    r = verify.check_counts_agree()
+    assert (r.status, r.detail) == ("FAIL", "dummy (n=1, mu=(1,), k=0)")
+
+
+def test_unpaired_weight_fails_the_parity_check(monkeypatch):
+    # 3! added to the weight at r = 3 of 1^3 keeps every count an integer
+    # (c_k gains 3^k) and c_0 = 2 nonzero, so at k = 0 only the pairing
+    # a_-3 = a_3 can see it
+    spectral = counting.spectral_expansion
+
+    def changed(mu):
+        expansion = spectral(mu)
+        if mu == (1, 1, 1):
+            (r, a), *rest = expansion.weights
+            expansion = counting.Expansion(3, ((r, a + 6), *rest))
+        return expansion
+
+    monkeypatch.setattr(verify, "spectral_expansion", changed)
+    assert changed((1, 1, 1)).at(0) == 2
+    r = verify.check_parity_vanishing(k_max=0)
+    assert (r.status, r.detail) == ("FAIL", "pairing (mu=(1, 1, 1), r=3)")
 
 
 def test_seeded_fault_is_located():
