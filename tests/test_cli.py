@@ -256,19 +256,24 @@ def test_deterministic_outputs(capsys):
         assert first == second
 
 
-def test_method_takes_every_route_of_the_table_and_all(capsys):
-    # each name answers for some mu; any other name exits 2 naming them all
+def test_parser_rejects_unknown_method(capsys):
+    # a name outside the route table exits 2, naming every route and all
+    code, out, err = run_cli(["count", "--mu", "3", "--k", "2",
+                              "--method", "nope"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: unknown method 'nope'; choose from spectral, " \
+        "matrix, goulden, two-cycle, brute or all\n"
+
+
+def test_method_choices_are_the_route_table(capsys):
+    # --method takes each row of the table, in its order, and all: each
+    # answers for some mu
     assert list(ROUTES) == ["spectral", "matrix", "goulden", "two-cycle",
                             "brute"]
     for method in [*ROUTES, "all"]:
         codes = [run_cli(["count", "--mu", mu, "--k", "2", "--method",
                           method], capsys)[0] for mu in ("3", "2,1")]
         assert 0 in codes, method
-    code, out, err = run_cli(["count", "--mu", "3", "--k", "2",
-                              "--method", "nope"], capsys)
-    assert (code, out) == (2, "")
-    assert err == "error: unknown method 'nope'; choose from spectral, " \
-        "matrix, goulden, two-cycle, brute or all\n"
 
 
 def test_a_row_added_to_the_table_is_a_method(monkeypatch, capsys):
