@@ -29,9 +29,7 @@ _EXPORTS = {
         "cycle_type", "count_brute", "count_tuples", "build_raw_counts",
         "enumerate_bst", "bst_signed_count", "Poly", "power_sum",
         "apply_dstar"),
-    "symfun": (
-        "dstar_rows", "pour_rows", "kostka_rows", "omega_on_p",
-        "schur_p_coords"),
+    "symfun": ("dstar_rows", "pour_rows", "kostka_rows"),
     "verify": ("run_battery", "parity_census",
                "zero_multiplicity_lower_bound"),
 }

@@ -145,6 +145,10 @@ class CharacterTable:
         if len(values) != size or any(len(row) != size for row in values):
             raise ValueError(f"character table of S_{index.n} needs {size} "
                              f"rows of {size} values")
+        kinds = {type(x) for row in values for x in row} - {int}
+        if kinds:
+            raise ValueError(f"character values must be ints, not "
+                             f"{', '.join(sorted(t.__name__ for t in kinds))}")
         bad = dimension_offenders(index, [row[0] for row in values])
         if bad:
             raise ValueError(f"dimension of {bad[0]} in the character table "

@@ -7,7 +7,7 @@ with rho_lam = r; the closed forms for one and two cycles build the same
 object from formulas. Counts, series and the battery evaluate or compare
 expansions; count_matrix_method walks row mu of the transition matrix
 instead. `count` and the battery read ROUTES, so a route added there is
-run and compared with no other edit.
+run, and compared by count and by expansion, with no other edit.
 """
 
 from collections import namedtuple
@@ -186,22 +186,26 @@ def _count_brute(mu, k):
 
 
 # Every count route, in the order `count --method all` runs them, as name:
-# (reason, count). reason(mu, k) is why the route cannot answer, or None;
-# count(mu, k) reads its function by name when it runs, so rebinding works.
+# (reason, count, expansion). reason(mu, k) is why the route cannot answer,
+# or None; count(mu, k) and expansion(mu), None where a route builds no
+# Expansion, read their function by name when they run, so rebinding works.
 ROUTES = {
-    "spectral": (lambda mu, k: None, lambda mu, k: count_spectral(mu, k)),
+    "spectral": (lambda mu, k: None, lambda mu, k: count_spectral(mu, k),
+                 lambda mu: spectral_expansion(mu)),
     "matrix": (lambda mu, k: None if sum(mu) >= 2 else "needs n >= 2",
-               lambda mu, k: count_matrix_method(mu, k)),
+               lambda mu, k: count_matrix_method(mu, k), None),
     "goulden": (
         lambda mu, k: None if len(mu) == 1 else "needs a single-part mu",
-        lambda mu, k: count_goulden(sum(mu), k)),
+        lambda mu, k: count_goulden(sum(mu), k),
+        lambda mu: goulden_expansion(sum(mu))),
     "two-cycle": (
         lambda mu, k: None if len(mu) == 2 else "needs a two-part mu",
-        lambda mu, k: count_two_cycle(*mu, k)),
+        lambda mu, k: count_two_cycle(*mu, k),
+        lambda mu: two_cycle_expansion(*mu)),
     "brute": (
         lambda mu, k: None if sum(mu) <= BRUTE_MAX_N and k <= BRUTE_MAX_K
         else f"capped at n <= {BRUTE_MAX_N}, k <= {BRUTE_MAX_K}",
-        _count_brute),
+        _count_brute, None),
 }
 
 

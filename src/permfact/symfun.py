@@ -9,6 +9,8 @@ image or expansion of lam:
     kostka_rows(table, pour)
                         K, with s_lam = sum_mu K[lam][mu] m_mu, pour
                         being pour_rows(n)
+
+and times_rows, the one product of a sparse row vector with such rows.
 """
 
 from collections import Counter
@@ -17,8 +19,7 @@ from functools import cache
 from itertools import combinations
 from math import factorial
 
-from .partitions import (enumerate_partitions, check_partition, class_size,
-                         z_value)
+from .partitions import enumerate_partitions, class_size
 
 
 def times_rows(pairs, rows):
@@ -77,9 +78,13 @@ def pour_rows(n):
 
 def kostka_rows(table, pour):
     """K = chi diag(n!/z) R / n! from a character table of S_n, summed in
-    integers, with R = pour = pour_rows(n). An entry that is not a
-    nonnegative integer flags a broken table and raises RuntimeError."""
+    integers, with R = pour = pour_rows(n); a pour of another size is a
+    ValueError. An entry that is not a nonnegative integer flags a broken
+    table and raises RuntimeError."""
     n, index = table.n, table.index
+    if len(pour) != len(index):
+        raise ValueError(f"pour table has {len(pour)} rows, not "
+                         f"p({n}) = {len(index)}")
     nfact = factorial(n)
     sizes = [class_size(nu) for nu in index]
     rows = []
@@ -93,20 +98,3 @@ def kostka_rows(table, pour):
                     f"{Fraction(c, nfact)} at ({lam}, {index.ordered[col]})")
         rows.append([(col, c // nfact) for col, c in enumerate(scaled) if c])
     return rows
-
-
-def omega_on_p(coords, n):
-    """Basis involution on power-sum coordinates: the coordinate at lam
-    picks up (-1)^(n - len(lam)). Sends Schur coordinates of lam to
-    those of the conjugate shape."""
-    out = {}
-    for lam, c in coords.items():
-        out[lam] = c if (n - len(lam)) % 2 == 0 else -c
-    return out
-
-
-def schur_p_coords(lam, table):
-    """Power-sum coordinates of s_lam: chi^lam(nu)/z_nu per nu."""
-    lam = check_partition(lam)
-    return {nu: Fraction(table.value(lam, nu), z_value(nu))
-            for nu in table.index}

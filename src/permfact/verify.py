@@ -5,10 +5,11 @@ Each check returns a CheckResult; run_battery collects all of them.
 A check's signature defaults are the battery's default scales; deep
 mode raises them to the full ranges the test suite also pins. The
 comparisons the checks run (move rule against raw tally, eigen
-relations, matrix structure, parity census, the operator's identities
-on symfun's integer rows) live here too: the route modules hold only
-what a count, a series, a matrix or a table runs, and oracle holds the
-raw-definition references.
+relations, matrix structure, parity census, conjugation of character
+rows, the operator's identities on symfun's integer rows) live here,
+not in the route modules, and oracle holds the raw-definition
+references. Which mu a route answers, and its expansion, are read from
+counting.ROUTES.
 """
 
 from collections import Counter, namedtuple
@@ -18,8 +19,7 @@ from math import comb, factorial
 from . import oracle, transition, symfun
 from .characters import (build_character_table, character_column,
                          dimension_offenders, mn_character)
-from .counting import (ROUTES, goulden_expansion, spectral_expansion,
-                       two_cycle_expansion)
+from .counting import ROUTES, spectral_expansion
 from .partitions import (enumerate_partitions, conjugate, class_size, rho,
                          z_value)
 
@@ -131,13 +131,26 @@ def dual_eigen_mismatches(n, matrix, table):
     integers scaled by n!; A^T w is scattered from the rows of A."""
     _require_operands(n, matrix, table)
     index = table.index
-    nfact = factorial(n)
-    weights = [nfact // z_value(nu) for nu in index]
+    weights = [class_size(nu) for nu in index]
     bad = []
     for lam in index:
         w = [x * y for x, y in zip(table.row(lam), weights)]
         lhs = symfun.times_rows(enumerate(w), matrix)
         nu = _first_difference(index, lhs, [rho(lam) * x for x in w])
+        bad += [(lam, nu)] if nu else []
+    return bad
+
+
+def conjugation_mismatches(table):
+    """Shapes lam, each with its first nu, where chi^lam'(nu) =
+    (-1)^(n - l(nu)) chi^lam(nu) fails; on the power-sum coordinates
+    chi^lam(nu)/z_nu of s_lam, this is omega(s_lam) = s_lam'."""
+    index = table.index
+    signs = [(-1) ** (table.n - len(nu)) for nu in index]
+    bad = []
+    for lam, row in zip(index, table.values):
+        nu = _first_difference(index, table.row(conjugate(lam)),
+                               [s * x for s, x in zip(signs, row)])
         bad += [(lam, nu)] if nu else []
     return bad
 
@@ -233,7 +246,7 @@ def check_character_table(n_max=8):
             return _result("character-table", False, f"dimension at {lam}")
         table = build_character_table(n)
         nfact = factorial(n)
-        weights = [nfact // z_value(nu) for nu in index]
+        weights = [class_size(nu) for nu in index]
         for a, row_a in enumerate(table.values):
             weighted = [w * x for w, x in zip(weights, row_a)]
             for b in range(a, len(table.values)):
@@ -241,14 +254,9 @@ def check_character_table(n_max=8):
                 if dot != (nfact if a == b else 0):
                     return _result("character-table", False,
                                    f"orthogonality at n={n} ({a},{b})")
-        for lam in index:
-            conj_row = table.row(conjugate(lam))
-            row = table.row(lam)
-            for pos, nu in enumerate(index):
-                sign = -1 if (n - len(nu)) % 2 else 1
-                if conj_row[pos] != sign * row[pos]:
-                    return _result("character-table", False,
-                                   f"conjugation at ({lam}, {nu})")
+        for lam, nu in conjugation_mismatches(table):
+            return _result("character-table", False,
+                           f"conjugation at ({lam}, {nu})")
         if sum(row[0] ** 2 for row in table.values) != nfact:
             return _result("character-table", False, f"Burnside at n={n}")
     return _result("character-table", True, f"n <= {n_max}")
@@ -304,7 +312,7 @@ def check_counts_agree(n_max=8, k_max=12, walk_n_max=8, brute_n_max=5,
             ks |= set(range(brute_k_max + 1)) if n <= brute_n_max else set()
             for k in sorted(ks):
                 c = expansion.at(k)
-                for name, (reason, count) in rows:
+                for name, (reason, count, _) in rows:
                     if reason(mu, k) is None and count(mu, k) != c:
                         return _result("spectral-vs-matrix", False,
                                        f"{name} (n={n}, mu={mu}, k={k})")
@@ -314,20 +322,24 @@ def check_counts_agree(n_max=8, k_max=12, walk_n_max=8, brute_n_max=5,
                    f"brute n <= {brute_n_max} k <= {brute_k_max}")
 
 
-def check_goulden(n_max=8):
+def _expansions_agree(name, route, n_max):
+    """The expansion of ROUTES' row route against the spectral row's, for
+    every mu of n <= n_max that the row answers, so at every k."""
+    reason, _, expansion = ROUTES[route]
+    spectral = ROUTES["spectral"][2]
     for n in range(1, n_max + 1):
-        if goulden_expansion(n) != spectral_expansion((n,)):
-            return _result("single-cycle-closed-form", False, f"n={n}")
-    return _result("single-cycle-closed-form", True, f"n <= {n_max}, every k")
+        for mu in enumerate_partitions(n):
+            if reason(mu, 0) is None and expansion(mu) != spectral(mu):
+                return _result(name, False, f"mu={mu}")
+    return _result(name, True, f"n <= {n_max}, every k")
+
+
+def check_goulden(n_max=8):
+    return _expansions_agree("single-cycle-closed-form", "goulden", n_max)
 
 
 def check_two_cycle(n_max=8):
-    for n in range(2, n_max + 1):
-        for k_small in range(1, n // 2 + 1):
-            mu = (n - k_small, k_small)
-            if two_cycle_expansion(*mu) != spectral_expansion(mu):
-                return _result("two-cycle-closed-form", False, f"mu={mu}")
-    return _result("two-cycle-closed-form", True, f"n <= {n_max}, every k")
+    return _expansions_agree("two-cycle-closed-form", "two-cycle", n_max)
 
 
 def check_parity_vanishing(n_max=6, k_max=10):
@@ -388,16 +400,10 @@ def check_dual_bases(n_max=8):
 
 
 def check_omega(n_max=5):
+    """omega(s_lam) = s_lam', read as character-table's conjugation clause."""
     for n in range(1, n_max + 1):
-        table = build_character_table(n)
-        for lam in table.index:
-            coords = symfun.schur_p_coords(lam, table=table)
-            target = symfun.schur_p_coords(conjugate(lam), table=table)
-            if symfun.omega_on_p(coords, n) != target:
-                return _result("omega-involution", False, f"{lam}")
-            twice = symfun.omega_on_p(symfun.omega_on_p(coords, n), n)
-            if twice != coords:
-                return _result("omega-involution", False, f"not involutive {lam}")
+        for lam, _ in conjugation_mismatches(build_character_table(n)):
+            return _result("omega-involution", False, f"{lam}")
     return _result("omega-involution", True, f"n <= {n_max}")
 
 

@@ -278,7 +278,8 @@ def test_method_choices_are_the_route_table(capsys):
 
 def test_a_row_added_to_the_table_is_a_method(monkeypatch, capsys):
     monkeypatch.setitem(counting.ROUTES, "dummy", (
-        lambda mu, k: None, lambda mu, k: counting.count_spectral(mu, k)))
+        lambda mu, k: None, lambda mu, k: counting.count_spectral(mu, k),
+        None))
     code, out, _ = run_cli(["count", "--mu", "2,2", "--k", "2",
                             "--method", "dummy"], capsys)
     assert (code, out) == (0, "c_2(2+2) [dummy] = 2\n")

@@ -12,7 +12,7 @@ from permfact import characters
 from permfact.characters import (CharacterTable, build_character_table,
                                  mn_character)
 from permfact.cli import main
-from permfact.counting import (count_spectral, count_matrix_method,
+from permfact.counting import (ROUTES, count_spectral, count_matrix_method,
                                count_goulden, count_two_cycle,
                                two_cycle_terms, series_prefix,
                                SeriesPrefix, Expansion, spectral_expansion,
@@ -188,6 +188,33 @@ def test_closed_form_expansions_equal_spectral():
         for k_small in range(1, n // 2 + 1):
             mu = (n - k_small, k_small)
             assert two_cycle_expansion(*mu) == spectral_expansion(mu), mu
+
+
+def test_route_expansions_evaluate_to_their_counts():
+    # the closed-form checks read reason(mu, 0) and the expansion, so each
+    # row's reason must not depend on k, and its expansion must give its
+    # count at every k
+    rows = {name: row for name, row in ROUTES.items() if row[2] is not None}
+    assert list(rows) == ["spectral", "goulden", "two-cycle"]
+    for name, (reason, count, expansion) in rows.items():
+        for n in range(1, 9):
+            for mu in enumerate_partitions(n):
+                why = reason(mu, 0)
+                assert all(reason(mu, k) == why for k in range(13)), name
+                if why is None:
+                    e = expansion(mu)
+                    assert all(count(mu, k) == e.at(k)
+                               for k in range(13)), (name, mu)
+
+
+def test_character_values_must_be_ints():
+    # a float or bool table once passed, and chartable wrote 1.0 or True
+    table = build_character_table(4)
+    with pytest.raises(ValueError, match="not float"):
+        CharacterTable(table.index,
+                       [[float(v) for v in row] for row in table.values])
+    with pytest.raises(ValueError, match="not bool"):
+        CharacterTable(enumerate_partitions(1), [[True]])
 
 
 def test_exponents_and_sizes_must_be_ints():

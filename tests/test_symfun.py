@@ -5,9 +5,8 @@ from math import factorial, prod
 
 from permfact.characters import build_character_table
 from permfact.oracle import Poly, apply_dstar
-from permfact.partitions import enumerate_partitions, conjugate, rho, z_value
-from permfact.symfun import (dstar_rows, pour_rows, kostka_rows, omega_on_p,
-                             schur_p_coords, times_rows)
+from permfact.partitions import enumerate_partitions, rho
+from permfact.symfun import dstar_rows, pour_rows, kostka_rows, times_rows
 from permfact.transition import build_transition_matrix
 
 
@@ -145,24 +144,3 @@ def test_fraction_coefficients_compare_equal(power_product):
                           (0, 2): Fraction(1, 2)}
     assert half.scale(2) == power_product((1, 1), 2)
     assert Poly.constant(2, Fraction(3)) == Poly.constant(2, 3)
-
-
-def test_omega():
-    for n in range(1, 7):
-        table = build_character_table(n)
-        for lam in enumerate_partitions(n):
-            coords = schur_p_coords(lam, table=table)
-            flipped = omega_on_p(coords, n)
-            assert flipped == schur_p_coords(conjugate(lam), table=table)
-            assert omega_on_p(flipped, n) == coords
-    # top power sum coordinate just flips sign
-    coords = {(4,): Fraction(1)}
-    assert omega_on_p(coords, 4) == {(4,): Fraction(-1)}
-
-
-def test_schur_p_coords_definition():
-    table = build_character_table(4)
-    for lam in enumerate_partitions(4):
-        coords = schur_p_coords(lam, table=table)
-        for nu in enumerate_partitions(4):
-            assert coords[nu] == Fraction(table.value(lam, nu), z_value(nu))

@@ -75,7 +75,8 @@ def test_minimal_walk_reading_zero_fails_the_count_check(monkeypatch):
 def test_a_row_added_to_the_table_is_compared(monkeypatch):
     # a route off by one everywhere: the count check names its row
     monkeypatch.setitem(counting.ROUTES, "dummy", (
-        lambda mu, k: None, lambda mu, k: counting.count_spectral(mu, k) + 1))
+        lambda mu, k: None, lambda mu, k: counting.count_spectral(mu, k) + 1,
+        None))
     r = verify.check_counts_agree()
     assert (r.status, r.detail) == ("FAIL", "dummy (n=1, mu=(1,), k=0)")
 
@@ -175,16 +176,70 @@ def test_changed_two_cycle_weight_fails_its_check(monkeypatch):
     assert (r.status, r.detail) == ("FAIL", "mu=(4, 2)")
 
 
-def test_orthogonality_fault_is_reported(monkeypatch):
-    # one off-diagonal character value of S_4 changed by 1
-    def corrupted(n, **kwargs):
-        table = build_character_table(n, **kwargs)
-        values = [list(row) for row in table.values]
+def test_changed_single_cycle_weight_fails_its_check(monkeypatch):
+    # the top weight of (4,) off by 4! keeps every count an integer
+    goulden = counting.goulden_expansion
+
+    def changed(n):
+        expansion = goulden(n)
         if n == 4:
-            values[1][2] += 1
+            (r, a), *rest = expansion.weights
+            expansion = counting.Expansion(4, ((r, a + 24), *rest))
+        return expansion
+
+    monkeypatch.setattr(counting, "goulden_expansion", changed)
+    r = verify.check_goulden(n_max=8)
+    assert (r.status, r.detail) == ("FAIL", "mu=(4,)")
+
+
+def _changed_table(monkeypatch, n, change):
+    """verify's build_character_table, with change applied to the value
+    lists of S_n's table."""
+    build = verify.build_character_table
+
+    def changed(m):
+        table = build(m)
+        if m != n:
+            return table
+        values = [list(row) for row in table.values]
+        change(table.index, values)
         return CharacterTable(table.index, values)
 
-    monkeypatch.setattr(verify, "build_character_table", corrupted)
+    monkeypatch.setattr(verify, "build_character_table", changed)
+
+
+def test_conjugation_fault_fails_both_checks_that_read_it(monkeypatch):
+    # chi^(1^4)((2, 2)) = 1 negated: both checks read one comparison
+    def negate(index, values):
+        values[0][index.position((2, 2))] *= -1
+
+    _changed_table(monkeypatch, 4, negate)
+    assert verify.check_character_table(n_max=5).status == "FAIL"
+    r = verify.check_omega(n_max=5)
+    assert (r.status, r.detail) == ("FAIL", "(1, 1, 1, 1)")
+
+
+def test_swapped_rows_fail_only_the_conjugation_clause(monkeypatch):
+    # (5, 1) and (3, 3) both have dimension 5 and are not conjugate: the
+    # swap keeps orthogonality, hook dimensions and Burnside
+    def swap(index, values):
+        a, b = index.position((5, 1)), index.position((3, 3))
+        values[a], values[b] = values[b], values[a]
+
+    _changed_table(monkeypatch, 6, swap)
+    r = verify.check_character_table(n_max=6)
+    assert (r.status, r.detail) == \
+        ("FAIL", "conjugation at ((2, 1, 1, 1, 1), (2, 1, 1, 1, 1))")
+    r = verify.check_omega(n_max=6)
+    assert (r.status, r.detail) == ("FAIL", "(2, 1, 1, 1, 1)")
+
+
+def test_orthogonality_fault_is_reported(monkeypatch):
+    # one off-diagonal character value of S_4 changed by 1
+    def bump(index, values):
+        values[1][2] += 1
+
+    _changed_table(monkeypatch, 4, bump)
     r = verify.check_character_table(n_max=5)
     assert (r.status, r.detail) == ("FAIL", "orthogonality at n=4 (0,1)")
     r = verify.check_dual_bases(n_max=5)
@@ -260,3 +315,11 @@ def test_kostka_rejects_one_changed_table_value():
                     changed = CharacterTable(table.index, values)
                     with pytest.raises(RuntimeError, match="Kostka number"):
                         symfun.kostka_rows(changed, pour)
+
+
+def test_kostka_rejects_a_pour_of_another_size():
+    # too short once read an index past its end; too long blamed the table
+    table = build_character_table(4)
+    for m, rows in ((3, 3), (5, 7)):
+        with pytest.raises(ValueError, match=rf"{rows} rows, not p\(4\) = 5"):
+            symfun.kostka_rows(table, symfun.pour_rows(m))
