@@ -160,12 +160,6 @@ class CharacterTable:
     def row(self, lam):
         return self.values[self.index.position(lam)]
 
-    def value(self, lam, nu):
-        return self.values[self.index.position(lam)][self.index.position(nu)]
-
-    def dimension(self, lam):
-        return self.values[self.index.position(lam)][0]
-
 
 def _table_rows(index):
     return [[_mn(mask, nu) for nu in index]

@@ -1,7 +1,7 @@
 """Counting factorizations into k transpositions, and the table of routes.
 
 c_k(mu) = (1/n!) * sum_r a_r r^k, a combination of geometric sequences
-in k, is one Expansion with a weight a_r per distinct eigenvalue r. The
+in k, is one Expansion, with a weight a_r per +-r pair of eigenvalues. The
 spectral route sums chi^lam(1^n) chi^lam(mu) over the lam of column mu
 with rho_lam = r; the closed forms for one and two cycles build the same
 object from formulas. Counts, series and the battery evaluate or compare
@@ -13,36 +13,44 @@ run, and compared by count and by expansion, with no other edit.
 from collections import namedtuple
 from math import comb, factorial
 
-from . import transition
 from .partitions import (check_partition, is_int_at_least, rho, z_value,
                          BRUTE_MAX_N, BRUTE_MAX_K)
 
 
-class Expansion(namedtuple("Expansion", "n weights")):
-    """c_k = (1/n!) * sum a r^k over weights: (r, a) pairs, one per distinct
-    eigenvalue r, r descending, no a = 0, as _grouped builds them; so two
-    of one n are equal exactly when their counts agree at every k. Tuple
-    equality and count() stay: Expansion(3, w) == (3, w), c_k is at(k)."""
+class Expansion(namedtuple("Expansion", "n sign weights")):
+    """c_k = (1/n!) * sum a_r r^k over every eigenvalue r, with a_-r =
+    sign a_r for sign = (-1)^(n-l(mu)) (the partition graph is bipartite).
+    weights: the (r, a_r) with r >= 0, r descending, no a = 0, as _grouped
+    builds them; so two of one n are equal exactly when their counts agree
+    at every k. Expansion(3, 1, w) == (3, 1, w), and c_k is at(k)."""
     __slots__ = ()
 
     def at(self, k):
-        """c_k, checked to be a count."""
+        """c_k, checked to be a count; 0 at once off the parity of sign."""
         if not is_int_at_least(k, 0):
             raise ValueError(f"k must be a nonnegative int, got {k!r}")
-        total = sum(a * r ** k for r, a in self.weights)
+        if (-1) ** (k % 2) != self.sign:
+            return 0
+        total = sum((2 * a if r else a) * r ** k for r, a in self.weights)
         if total % factorial(self.n) != 0 or total < 0:
             raise RuntimeError(f"expansion sum {total} is not a nonnegative "
                                f"multiple of {self.n}! at k={k}")
         return total // factorial(self.n)
 
 
-def _grouped(n, pairs):
-    """The Expansion of (w, r) pairs, the ws of each r summed."""
+def _grouped(n, length, pairs):
+    """The Expansion of (w, r) pairs for a mu of length parts, the ws of
+    each r summed; the one check of a_-r = (-1)^(n-length) a_r."""
     weights = {}
     for w, r in pairs:
         weights[r] = weights.get(r, 0) + w
-    return Expansion(n, tuple(sorted(((r, a) for r, a in weights.items() if a),
-                                     reverse=True)))
+    sign = (-1) ** (n - length)
+    for r, a in weights.items():
+        if weights.get(-r, 0) != sign * a:
+            raise RuntimeError(f"weight pairing a_-r = {sign} * a_r fails "
+                               f"at r = {r} for S_{n}")
+    return Expansion(n, sign, tuple(sorted(
+        ((r, a) for r, a in weights.items() if r >= 0 and a), reverse=True)))
 
 
 def spectral_expansion(mu):
@@ -62,8 +70,8 @@ def spectral_expansion(mu):
     if pairing != (factorial(n) if mu == (1,) * n else 0):
         raise RuntimeError(f"hook dimensions and column {mu} are not "
                            f"orthogonal: sum of dim * chi is {pairing}")
-    return _grouped(n, ((dims[lam] * chi, rho(lam))
-                        for lam, chi in column.items()))
+    return _grouped(n, len(mu), ((dims[lam] * chi, rho(lam))
+                                 for lam, chi in column.items()))
 
 
 def count_spectral(mu, k):
@@ -73,6 +81,7 @@ def count_spectral(mu, k):
 
 def count_matrix_method(mu, k):
     """c_k(mu) = (A^k)[mu][1^n] by transition.walk_row, read when it runs."""
+    from . import transition  # loaded only where the walk runs
     return transition.walk_row(check_partition(mu), k)
 
 
@@ -81,8 +90,8 @@ def goulden_expansion(n):
     r = C(n,2) - n i for i = 0 .. n-1."""
     if not is_int_at_least(n, 1):
         raise ValueError(f"n must be a positive int, got {n!r}")
-    return _grouped(n, ((comb(n - 1, i) * (-1) ** i, comb(n, 2) - n * i)
-                        for i in range(n)))
+    return _grouped(n, 1, ((comb(n - 1, i) * (-1) ** i, comb(n, 2) - n * i)
+                           for i in range(n)))
 
 
 def count_goulden(n, k):
@@ -164,8 +173,8 @@ def two_cycle_terms(m, k_small):
 
 def two_cycle_expansion(m, k_small):
     """The Expansion of c_k((m, k_small)) from two_cycle_terms."""
-    return _grouped(m + k_small, ((chi * dim, r) for _, chi, dim, r
-                                  in two_cycle_terms(m, k_small)))
+    return _grouped(m + k_small, 2, ((chi * dim, r) for _, chi, dim, r
+                                     in two_cycle_terms(m, k_small)))
 
 
 def count_two_cycle(m, k_small, k, max_n=None):
@@ -227,16 +236,13 @@ def series_prefix(mu, terms):
     """Exponential generating coefficients c_j(mu)/j! for j < terms.
 
     Only one parity of j can be nonzero (the partition graph is
-    bipartite); that collapse is verified on the computed prefix.
+    bipartite): the expansion's builder checks the pairing that makes it
+    so, and at(j) is 0 off that parity.
     """
     from fractions import Fraction  # only a series makes one
     mu = check_partition(mu)
     if not is_int_at_least(terms, 1):
         raise ValueError(f"terms must be a positive int, got {terms!r}")
     expansion = spectral_expansion(mu)
-    prefix = SeriesPrefix(mu, tuple(Fraction(expansion.at(j), factorial(j))
-                                    for j in range(terms)))
-    for j, c in enumerate(prefix.coefficients):
-        if j % 2 != prefix.nonzero_parity and c != 0:
-            raise RuntimeError(f"parity collapse violated at j={j} for mu={mu}")
-    return prefix
+    return SeriesPrefix(mu, tuple(Fraction(expansion.at(j), factorial(j))
+                                  for j in range(terms)))

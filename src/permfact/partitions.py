@@ -110,8 +110,10 @@ def class_size(lam):
     """Number of permutations with cycle type lam: n! / z_lam."""
     n = sum(lam)
     z = z_value(lam)
-    assert factorial(n) % z == 0
-    return factorial(n) // z
+    size, rest = divmod(factorial(n), z)
+    if rest:
+        raise RuntimeError(f"z = {z} of {lam} does not divide {n}!")
+    return size
 
 
 def rho(lam):

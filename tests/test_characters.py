@@ -228,6 +228,6 @@ def test_dual_basis_pairing():
         index = enumerate_partitions(n)
         for lam in index:
             for mu in index:
-                dot = sum(Fraction(table.value(lam, nu) * table.value(mu, nu),
-                                   z_value(nu)) for nu in index)
+                dot = sum(Fraction(a * b, z_value(nu)) for a, b, nu
+                          in zip(table.row(lam), table.row(mu), index))
                 assert dot == (1 if lam == mu else 0)

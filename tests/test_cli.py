@@ -439,8 +439,11 @@ def test_import_loads_no_submodule():
     (["count", "--mu", "14,10", "--k", "24", "--method", "matrix",
       "--max-n", "30"],
      {"permfact.characters", "permfact.oracle"}),
+    # a spectral count or series never walks the matrix
+    (["count", "--mu", "9,4,2", "--k", "13", "--method", "spectral"],
+     {"permfact.transition", "permfact.oracle"}),
     (["series", "--mu", "9,4,2", "--terms", "6"],
-     {"dataclasses", "permfact.oracle"}),
+     {"dataclasses", "permfact.oracle", "permfact.transition"}),
     (["matrix", "--n", "9"], {"permfact.counting", "permfact.characters"}),
 ])
 def test_subcommand_loads_only_its_route(argv, unloaded):

@@ -134,7 +134,7 @@ def test_two_cycle_shape_values_match_recursion():
                 assert lam not in seen, f"duplicate term for {lam}"
                 seen.add(lam)
                 assert chi_mu == mn_character(lam, mu)
-                assert chi_one == table.dimension(lam)
+                assert chi_one == table.row(lam)[0]
                 assert r == rho(lam)
             # coverage: every shape with nonzero character appears
             for lam in enumerate_partitions(n):
@@ -153,12 +153,13 @@ def test_two_cycle_counts(spectral_counts):
 
 
 def test_expansion_record():
-    # c_k(1^3): chi^lam(1^3)^2 = 1, 4, 1 at rho = 3, 0, -3
+    # c_k(1^3): chi^lam(1^3)^2 = 1, 4, 1 at rho = 3, 0, -3; a_-3 = a_3
+    # is kept once, with sign (-1)^(3-3) = 1
     e = spectral_expansion((1, 1, 1))
-    assert e == Expansion(n=3, weights=((3, 1), (0, 4), (-3, 1)))
+    assert e == Expansion(n=3, sign=1, weights=((3, 1), (0, 4)))
     assert [e.at(k) for k in range(5)] == [1, 0, 3, 0, 27]
     assert Expansion.count is tuple.count  # c_k is at(k), not count(k)
-    assert hash(e) == hash(Expansion(3, ((3, 1), (0, 4), (-3, 1))))
+    assert hash(e) == hash(Expansion(3, 1, ((3, 1), (0, 4))))
     with pytest.raises(AttributeError):
         e.n = 4
     with pytest.raises(AttributeError):
@@ -170,21 +171,33 @@ def test_expansion_weights_are_grouped_by_eigenvalue():
         for mu in enumerate_partitions(n):
             e = spectral_expansion(mu)
             rs = [r for r, _ in e.weights]
-            assert e.n == n
+            assert (e.n, e.sign) == (n, (-1) ** (n - len(mu)))
             assert rs == sorted(set(rs), reverse=True), mu
+            assert all(r >= 0 for r in rs), mu
             assert all(a != 0 for _, a in e.weights), mu
-    # far fewer distinct eigenvalues than shapes in the column
-    assert len(spectral_expansion((20, 12, 8)).weights) == 248
-    assert len(spectral_expansion((12, 9, 5, 4)).weights) == 409
+    # far fewer distinct eigenvalues than shapes in the column, and one
+    # weight per +-r pair
+    assert len(spectral_expansion((20, 12, 8)).weights) == 124
+    assert len(spectral_expansion((12, 9, 5, 4)).weights) == 205
+
+
+def test_expansion_is_zero_off_parity():
+    for n in range(1, 9):
+        for mu in enumerate_partitions(n):
+            e = spectral_expansion(mu)
+            for k in range((n - len(mu) + 1) % 2, 17, 2):
+                assert e.at(k) == 0, (mu, k)
+                if n >= 2:
+                    assert count_matrix_method(mu, k) == 0, (mu, k)
 
 
 def test_closed_form_expansions_equal_spectral():
     """Equal expansions give equal counts at every k."""
     for n in range(1, 13):
         goulden = tuple((comb(n, 2) - n * i, comb(n - 1, i) * (-1) ** i)
-                        for i in range(n))
+                        for i in range(n) if comb(n, 2) >= n * i)
         assert goulden_expansion(n) == spectral_expansion((n,)) == \
-            Expansion(n, goulden)
+            Expansion(n, (-1) ** (n - 1), goulden)
         for k_small in range(1, n // 2 + 1):
             mu = (n - k_small, k_small)
             assert two_cycle_expansion(*mu) == spectral_expansion(mu), mu

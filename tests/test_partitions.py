@@ -84,6 +84,13 @@ def test_z_value_examples():
     assert class_size((3, 1)) == 8
 
 
+def test_class_size_raises_on_a_wrong_z(monkeypatch):
+    # z = 5 does not divide 4!: a raise, not an assert that -O strips
+    monkeypatch.setattr(partitions, "z_value", lambda lam: 5)
+    with pytest.raises(RuntimeError, match="does not divide"):
+        class_size((3, 1))
+
+
 def test_rho_examples():
     assert rho((4,)) == 6
     assert rho((1, 1, 1, 1)) == -6

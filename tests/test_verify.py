@@ -82,22 +82,17 @@ def test_a_row_added_to_the_table_is_compared(monkeypatch):
 
 
 def test_unpaired_weight_fails_the_parity_check(monkeypatch):
-    # 3! added to the weight at r = 3 of 1^3 keeps every count an integer
-    # (c_k gains 3^k) and c_0 = 2 nonzero, so at k = 0 only the pairing
-    # a_-3 = a_3 can see it
-    spectral = counting.spectral_expansion
-
-    def changed(mu):
-        expansion = spectral(mu)
-        if mu == (1, 1, 1):
-            (r, a), *rest = expansion.weights
-            expansion = counting.Expansion(3, ((r, a + 6), *rest))
-        return expansion
-
-    monkeypatch.setattr(verify, "spectral_expansion", changed)
-    assert changed((1, 1, 1)).at(0) == 2
-    r = verify.check_parity_vanishing(k_max=0)
-    assert (r.status, r.detail) == ("FAIL", "pairing (mu=(1, 1, 1), r=3)")
+    # rho((3,)) read as 2 moves the weight of (3,) off the eigenvalue 3
+    # that pairs it with (1, 1, 1) at -3. The two orthogonality sums of
+    # column (2, 1) read no eigenvalue, so only the pairing, checked
+    # where every expansion is built, can see it
+    rho = counting.rho
+    monkeypatch.setattr(counting, "rho",
+                        lambda lam: 2 if lam == (3,) else rho(lam))
+    with pytest.raises(RuntimeError, match="pairing"):
+        counting.spectral_expansion((2, 1))
+    with pytest.raises(RuntimeError, match="pairing"):
+        verify.check_parity_vanishing(k_max=0)
 
 
 def test_seeded_fault_is_located():
@@ -161,17 +156,27 @@ def test_individual_checks_report_scales():
 
 
 def test_changed_two_cycle_weight_fails_its_check(monkeypatch):
-    # one dimension of the (4, 2) closed form off by one changes one weight
     terms = counting.two_cycle_terms
 
-    def changed(m, k_small):
-        out = terms(m, k_small)
-        if (m, k_small) == (4, 2):
-            lam, chi, dim, r = out[0]
-            out[0] = (lam, chi, dim + 1, r)
-        return out
+    def seed(scale, extra):
+        # every dimension of the (4, 2) closed form times scale, and the
+        # first one plus extra
+        def changed(m, k_small):
+            out = terms(m, k_small)
+            if (m, k_small) == (4, 2):
+                out = [(lam, chi, scale * dim, r) for lam, chi, dim, r in out]
+                lam, chi, dim, r = out[0]
+                out[0] = (lam, chi, dim + extra, r)
+            return out
 
-    monkeypatch.setattr(counting, "two_cycle_terms", changed)
+        monkeypatch.setattr(counting, "two_cycle_terms", changed)
+
+    # one dimension off by one changes one weight and not its pair
+    seed(1, 1)
+    with pytest.raises(RuntimeError, match="pairing"):
+        verify.check_two_cycle(n_max=8)
+    # every dimension doubled keeps the pairing: only the comparison sees it
+    seed(2, 0)
     r = verify.check_two_cycle(n_max=8)
     assert (r.status, r.detail) == ("FAIL", "mu=(4, 2)")
 
@@ -184,7 +189,8 @@ def test_changed_single_cycle_weight_fails_its_check(monkeypatch):
         expansion = goulden(n)
         if n == 4:
             (r, a), *rest = expansion.weights
-            expansion = counting.Expansion(4, ((r, a + 24), *rest))
+            expansion = counting.Expansion(4, expansion.sign,
+                                           ((r, a + 24), *rest))
         return expansion
 
     monkeypatch.setattr(counting, "goulden_expansion", changed)
