@@ -30,8 +30,7 @@ _EXPORTS = {
         "enumerate_bst", "bst_signed_count", "Poly", "power_sum",
         "apply_dstar"),
     "symfun": ("dstar_rows", "pour_rows", "kostka_rows"),
-    "verify": ("run_battery", "parity_census",
-               "zero_multiplicity_lower_bound"),
+    "verify": ("run_battery", "parity_census"),
 }
 _LAZY = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -9,7 +9,9 @@ relations, matrix structure, parity census, conjugation of character
 rows, the operator's identities on symfun's integer rows) live here,
 not in the route modules, and oracle holds the raw-definition
 references. Which mu a route answers, and its expansion, are read from
-counting.ROUTES.
+counting.ROUTES. No clause restates another: rho-conjugation with
+parity-census gives rho = 0 at self-conjugate lam and the +-r pairing of
+A_n's eigenvalues; dual-bases' diagonal checks z, and Burnside at 1^n.
 """
 
 from collections import Counter, namedtuple
@@ -40,14 +42,13 @@ def _result(name, ok, detail):
 def parity_census(n):
     """Counts of (even-length, odd-length, self-conjugate) partitions of n.
 
-    For n > 2 the even/odd counts differ by exactly the number of
-    self-conjugate partitions; this is checked here.
+    evens - odds = (-1)^n * self_conj at every n; this is checked here.
     """
     index = enumerate_partitions(n)
     evens = sum(1 for lam in index if len(lam) % 2 == 0)
     odds = len(index) - evens
     self_conj = sum(1 for lam in index if lam == conjugate(lam))
-    if n > 2 and abs(evens - odds) != self_conj:
+    if evens - odds != (-1) ** n * self_conj:
         raise RuntimeError(f"parity census identity fails at n={n}")
     return evens, odds, self_conj
 
@@ -84,17 +85,6 @@ def bipartite_offenders(n, matrix):
     return [(t, index.ordered[b], v)
             for t, row in zip(index, matrix) for b, v in row
             if abs(len(t) - len(index.ordered[b])) != 1]
-
-
-def zero_multiplicity_lower_bound(n):
-    """Number of self-conjugate partitions of n, each contributing a zero
-    eigenvalue. Cross-checked: every self-conjugate partition has rho = 0."""
-    index = enumerate_partitions(n)
-    self_conj = [lam for lam in index if lam == conjugate(lam)]
-    for lam in self_conj:
-        if rho(lam) != 0:
-            raise RuntimeError(f"self-conjugate {lam} has nonzero content sum")
-    return len(self_conj)
 
 
 def _require_rows(matrix, index):
@@ -174,8 +164,6 @@ def check_rho_symmetries(n_max=12):
             r = rho(lam)
             if rho(conjugate(lam)) != -r:
                 return _result("rho-conjugation", False, f"{lam}")
-            if lam == conjugate(lam) and r != 0:
-                return _result("rho-conjugation", False, f"{lam} self-conj")
             if abs(r) > bound or (abs(r) == bound) != (lam in extremes):
                 return _result("rho-conjugation", False, f"bound at {lam}")
     return _result("rho-conjugation", True, f"n <= {n_max}")
@@ -183,13 +171,10 @@ def check_rho_symmetries(n_max=12):
 
 def check_census(n_max=12):
     for n in range(1, n_max + 1):
-        parity_census(n)  # raises on violation for n > 2
-        index = enumerate_partitions(n)
-        for lam in index:
+        parity_census(n)  # raises on violation
+        for lam in enumerate_partitions(n):
             if conjugate(conjugate(lam)) != lam:
                 return _result("parity-census", False, f"conj not involutive {lam}")
-            if z_value(lam) * class_size(lam) != factorial(n):
-                return _result("parity-census", False, f"z * class != n! {lam}")
     return _result("parity-census", True, f"n <= {n_max}")
 
 
@@ -209,13 +194,6 @@ def check_matrix_structure(n_max=12):
             return _result("matrix-structure", False, f"row sum at n={n}")
         if bipartite_offenders(n, mat):
             return _result("matrix-structure", False, f"bipartite at n={n}")
-        index = enumerate_partitions(n)
-        zeros = sum(1 for lam in index if rho(lam) == 0)
-        if zeros < zero_multiplicity_lower_bound(n):
-            return _result("matrix-structure", False, f"zero mult at n={n}")
-        rhos = sorted(rho(lam) for lam in index)
-        if rhos != sorted(-r for r in rhos):
-            return _result("matrix-structure", False, f"pairing at n={n}")
     return _result("matrix-structure", True, f"n <= {n_max}")
 
 
@@ -233,7 +211,7 @@ def check_eigen_relations(n_max=8):
 
 
 def check_character_table(n_max=8):
-    """Row orthogonality, conjugation symmetry, hook dimensions, Burnside.
+    """Row orthogonality, conjugation symmetry, hook dimensions.
 
     Rows a <= b are orthogonal, sum_nu chi_a(nu) chi_b(nu) / z_nu =
     delta(a, b), checked in integers after scaling by n!."""
@@ -257,8 +235,6 @@ def check_character_table(n_max=8):
         for lam, nu in conjugation_mismatches(table):
             return _result("character-table", False,
                            f"conjugation at ({lam}, {nu})")
-        if sum(row[0] ** 2 for row in table.values) != nfact:
-            return _result("character-table", False, f"Burnside at n={n}")
     return _result("character-table", True, f"n <= {n_max}")
 
 
@@ -343,18 +319,16 @@ def check_two_cycle(n_max=8):
 
 
 def check_parity_vanishing(n_max=6, k_max=10):
-    """c_k(mu) = 0 unless k >= n - l and k = n - l mod 2. The eigenvalue
-    pairing a_-r = (-1)^(n-l) a_r, from conjugating lam, which makes c_k
-    vanish at every k of the other parity, is checked by the builder of
-    each expansion read here, and raises there."""
+    """c_k(mu) = 0 unless k >= n - l and k = n - l mod 2, read on that
+    parity: at(k) is 0 off it by construction, compared with A^k by
+    spectral-vs-matrix, and the builder of each expansion read here
+    raises where the pairing a_-r = (-1)^(n-l) a_r behind it fails."""
     for n in range(2, n_max + 1):
         for mu in enumerate_partitions(n):
             expansion = spectral_expansion(mu)
             dist = n - len(mu)
-            for k in range(k_max + 1):
-                c = expansion.at(k)
-                expect_zero = k < dist or (k - dist) % 2 == 1
-                if expect_zero != (c == 0):
+            for k in range(dist % 2, k_max + 1, 2):
+                if (k < dist) != (expansion.at(k) == 0):
                     return _result("count-parity", False, f"(mu={mu}, k={k})")
     return _result("count-parity", True,
                    f"n <= {n_max}, k <= {k_max}; a_-r = (-1)^(n-l) a_r")

@@ -8,12 +8,11 @@ from permfact.characters import build_character_table
 from permfact.counting import count_goulden
 from permfact.oracle import (build_raw_counts, transpositions, compose,
                              identity)
-from permfact.partitions import enumerate_partitions, conjugate, rho
+from permfact.partitions import enumerate_partitions
 from permfact.transition import (build_transition_matrix, matrix_power_apply,
                                  walk_row, _moves, _key, _slot_powers)
 from permfact.verify import (matrix_equality_offenders, row_sums,
                              bipartite_offenders,
-                             zero_multiplicity_lower_bound,
                              eigen_mismatches, dual_eigen_mismatches)
 
 
@@ -180,17 +179,6 @@ def test_matrix_power_matches_pair_enumeration_s3():
     assert tally[(1, 2, 0)] == 3  # a 3-cycle
     m = build_transition_matrix(3)
     assert matrix_power_apply(m, 2, [1, 0, 0]) == [3, 0, 3]
-
-
-def test_zero_multiplicity_lower_bound():
-    assert zero_multiplicity_lower_bound(3) == 1
-    assert zero_multiplicity_lower_bound(4) == 1
-    for n in range(2, 13):
-        expect = sum(1 for lam in enumerate_partitions(n)
-                     if lam == conjugate(lam))
-        assert zero_multiplicity_lower_bound(n) == expect
-        zeros = sum(1 for lam in enumerate_partitions(n) if rho(lam) == 0)
-        assert zeros >= expect
 
 
 def test_eigen_relations_small():

@@ -95,6 +95,41 @@ def test_unpaired_weight_fails_the_parity_check(monkeypatch):
         verify.check_parity_vanishing(k_max=0)
 
 
+@pytest.mark.parametrize("lam, value, detail", [
+    # rho(lam') = -rho(lam) at lam = lam' is rho = 0: the zero eigenvalue
+    # of each self-conjugate shape is checked there
+    ((2, 1), 1, "(2, 1)"),
+    # -3 left without its +3: the sorted rho are not the sorted -rho
+    ((3,), 2, "(1, 1, 1)"),
+], ids=["self-conjugate", "pairing"])
+def test_changed_rho_fails_rho_conjugation(monkeypatch, lam, value, detail):
+    rho = verify.rho
+    monkeypatch.setattr(verify, "rho",
+                        lambda nu: value if nu == lam else rho(nu))
+    r = verify.check_rho_symmetries()
+    assert (r.status, r.detail) == ("FAIL", detail)
+
+
+def test_count_off_its_parity_fails_the_count_check(monkeypatch):
+    # count-parity reads the live parity only; at(k) of the other
+    # parity is compared with A^k and the other routes
+    at = counting.Expansion.at
+    monkeypatch.setattr(counting.Expansion, "at", lambda self, k: 1 if (
+        (-1) ** (k % 2) != self.sign) else at(self, k))
+    assert verify.check_parity_vanishing().status == "PASS"
+    r = verify.check_counts_agree()
+    assert (r.status, r.detail) == ("FAIL", "brute (n=1, mu=(1,), k=1)")
+
+
+def test_changed_z_fails_dual_bases(monkeypatch):
+    # z_(2,2) = 8 read as 16: the diagonal sum_lam chi^lam(mu)^2 is z_mu
+    z_value = verify.z_value
+    monkeypatch.setattr(verify, "z_value", lambda mu: z_value(mu) * (
+        2 if mu == (2, 2) else 1))
+    r = verify.check_dual_bases()
+    assert (r.status, r.detail) == ("FAIL", "((2, 2), (2, 2))")
+
+
 def test_seeded_fault_is_located():
     n = 6
     index = enumerate_partitions(n)
@@ -227,7 +262,7 @@ def test_conjugation_fault_fails_both_checks_that_read_it(monkeypatch):
 
 def test_swapped_rows_fail_only_the_conjugation_clause(monkeypatch):
     # (5, 1) and (3, 3) both have dimension 5 and are not conjugate: the
-    # swap keeps orthogonality, hook dimensions and Burnside
+    # swap keeps orthogonality and hook dimensions
     def swap(index, values):
         a, b = index.position((5, 1)), index.position((3, 3))
         values[a], values[b] = values[b], values[a]
@@ -238,6 +273,24 @@ def test_swapped_rows_fail_only_the_conjugation_clause(monkeypatch):
         ("FAIL", "conjugation at ((2, 1, 1, 1, 1), (2, 1, 1, 1, 1))")
     r = verify.check_omega(n_max=6)
     assert (r.status, r.detail) == ("FAIL", "(2, 1, 1, 1, 1)")
+
+
+def test_dimension_changed_with_the_hook_formula_fails_dual_bases(
+        monkeypatch):
+    # chi^(2, 1)(1^3) read as 3 by the table and the hook formula alike:
+    # Burnside's sum_lam dim(lam)^2 = n! is dual-bases' (1^n, 1^n) entry
+    table = build_character_table(3)
+    values = [list(row) for row in table.values]
+    values[table.index.position((2, 1))][0] += 1
+    hook = characters.dimension_hook_formula
+    monkeypatch.setattr(characters, "dimension_hook_formula",
+                        lambda lam: hook(lam) + (lam == (2, 1)))
+    changed = CharacterTable(table.index, values)
+    build = verify.build_character_table
+    monkeypatch.setattr(verify, "build_character_table",
+                        lambda m: changed if m == 3 else build(m))
+    r = verify.check_dual_bases()
+    assert (r.status, r.detail) == ("FAIL", "((1, 1, 1), (1, 1, 1))")
 
 
 def test_orthogonality_fault_is_reported(monkeypatch):
