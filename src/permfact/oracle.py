@@ -6,7 +6,7 @@ comes from its definition alone. count_brute runs dynamic programming
 over all n! group elements and count_tuples enumerates transposition
 tuples literally. build_raw_counts tallies the entries of A_n by acting
 with every transposition on one element of each class. enumerate_bst
-lists border strip tableaux cell by cell, the definition that the
+lists border strip tableaux label by label, the definition that the
 strip recursion for characters is checked against. Permutations are
 tuples of images in one-line notation on {0, ..., n-1}, composed as
 (p * q)(x) = p(q(x)).
@@ -28,8 +28,8 @@ to be exact:
 
 from collections import Counter, namedtuple
 from functools import cache
-from itertools import combinations, permutations as _all_perms
-from operator import add, itemgetter
+from itertools import combinations, compress, permutations as _all_perms
+from operator import add, attrgetter, gt, itemgetter
 
 from .partitions import (enumerate_partitions, check_partition,
                          is_int_at_least, BRUTE_MAX_N, BRUTE_MAX_K)
@@ -194,9 +194,14 @@ class BorderStripTableau(namedtuple(
 
 def enumerate_bst(lam, mu):
     """All border strip tableaux of shape lam and content mu, generated
-    from the definition: weakly increasing rows and columns, each label
-    edge-connected, no 2x2 block of a single label. The parts of mu may
-    come in any order."""
+    label by label from the definition: weakly increasing rows and
+    columns, each label edge-connected, no 2x2 block of a single label.
+    Rows and columns weakly increase exactly when the cells labelled
+    1..i form a diagram lam^(i), so a tableau is a chain of diagrams
+    from the empty one to lam with mu_i cells in lam^(i) / lam^(i-1);
+    label i's cells are tested as a border strip as soon as it is
+    placed. The parts of mu may come in any order; the tableaux come
+    sorted by filling."""
     lam = check_partition(lam)
     mu = check_partition(mu, ordered=False)
     n = sum(lam)
@@ -205,64 +210,77 @@ def enumerate_bst(lam, mu):
     if n > BST_MAX_N:
         raise ValueError(f"tableau enumeration capped at n <= {BST_MAX_N}")
 
-    cells = [(r, c) for r, p in enumerate(lam) for c in range(p)]
-    fill = {}
-    remaining = list(mu)
+    rows = [[] for _ in lam]  # the labels placed so far, row by row
     found = []
 
-    def place(pos):
-        if pos == len(cells):
-            tab = tuple(tuple(fill[(r, c)] for c in range(p))
-                        for r, p in enumerate(lam))
-            t = _validate_bst(lam, mu, tab)
-            if t is not None:
-                found.append(t)
+    def place(label, inner, height, width):
+        if label > len(mu):
+            found.append(BorderStripTableau(
+                lam, mu, tuple(map(tuple, rows)), height, width))
             return
-        r, c = cells[pos]
-        lo = 1
-        if c > 0:
-            lo = max(lo, fill[(r, c - 1)])
-        if r > 0:
-            lo = max(lo, fill[(r - 1, c)])
-        for label in range(lo, len(mu) + 1):
-            if remaining[label - 1] == 0:
+        for outer in _grown(inner, lam, mu[label - 1]):
+            extent = _strip_extent(inner, outer)
+            if extent is None:
                 continue
-            remaining[label - 1] -= 1
-            fill[(r, c)] = label
-            place(pos + 1)
-            del fill[(r, c)]
-            remaining[label - 1] += 1
+            top, bottom, columns = extent
+            for r in range(top, bottom + 1):
+                rows[r] += (label,) * (outer[r] - inner[r])
+            place(label + 1, outer, height + bottom - top,
+                  width + columns - 1)
+            for r in range(top, bottom + 1):
+                del rows[r][inner[r]:]
 
-    place(0)
+    place(1, (0,) * len(lam), 0, 0)
+    found.sort(key=attrgetter("filling"))
     return found
 
 
-def _validate_bst(lam, mu, tab):
-    height = 0
-    width = 0
-    for label in range(1, len(mu) + 1):
-        cells = {(r, c) for r, row in enumerate(tab)
-                 for c, v in enumerate(row) if v == label}
-        rows = {r for r, _ in cells}
-        cols = {c for _, c in cells}
-        # edge-connectivity of the strip
-        stack = [next(iter(cells))]
-        seen = {stack[0]}
+def _grown(inner, lam, m):
+    """Every diagram outer with inner <= outer <= lam row by row, m cells
+    more than inner, and its grown rows consecutive: a label's cells on
+    rows that skip one are not edge-connected, so no other diagram can
+    hold a strip. A diagram is a tuple of row lengths as long as lam,
+    zeros included."""
+    out = []
+    last = len(lam) - 1
+    for top, lo in enumerate(inner):
+        # a row grows to at most lam's row and the row above it
+        cap = min(lam[top], inner[top - 1]) if top else lam[0]
+        if lo == cap:
+            continue
+        stack = [(top, cap, m, inner[:top])]
         while stack:
-            r, c = stack.pop()
-            for nb in ((r + 1, c), (r - 1, c), (r, c + 1), (r, c - 1)):
-                if nb in cells and nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        if seen != cells:
+            r, cap, left, grown = stack.pop()
+            lo = inner[r]
+            if cap > lo + left:
+                cap = lo + left
+            for x in range(lo + 1, cap + 1):
+                if x - lo == left:
+                    out.append(grown + (x,) + inner[r + 1:])
+                elif r < last:
+                    stack.append((r + 1, min(x, lam[r + 1]), left - x + lo,
+                                  grown + (x,)))
+    return out
+
+
+def _strip_extent(inner, outer):
+    """(top row, bottom row, number of columns) of the cells of outer not
+    in inner, row r holding columns [inner[r], outer[r]), if they form a
+    border strip: edge-connected, with no 2x2 block. Else None.
+
+    A row's cells are one interval, so they are connected; rows r and
+    r + 1 share the columns [inner[r], outer[r + 1]). The cells are
+    edge-connected exactly when their rows are consecutive and each two
+    adjacent ones share a column, and two shared columns are a 2x2
+    block. The columns of connected cells run from inner[bottom] to
+    outer[top] - 1."""
+    rows = list(compress(range(len(outer)), map(gt, outer, inner)))
+    for r, s in zip(rows, rows[1:]):
+        if s != r + 1 or outer[s] <= inner[r]:  # not edge-connected
             return None
-        # no 2x2 block of one label
-        for r, c in cells:
-            if {(r + 1, c), (r, c + 1), (r + 1, c + 1)} <= cells:
-                return None
-        height += len(rows) - 1
-        width += len(cols) - 1
-    return BorderStripTableau(lam, mu, tab, height, width)
+        if outer[s] > inner[r] + 1:  # a 2x2 block
+            return None
+    return rows[0], rows[-1], outer[rows[0]] - inner[rows[-1]]
 
 
 def bst_signed_count(lam, mu):

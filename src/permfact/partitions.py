@@ -31,7 +31,9 @@ def check_partition(lam, ordered=True):
     if not lam:
         raise ValueError("partition must be nonempty")
     for p in lam:
-        if not is_int_at_least(p, 1):
+        # exact ints, nearly every part, skip the general check's two
+        # isinstance calls; it still decides every other type
+        if not (p >= 1 if type(p) is int else is_int_at_least(p, 1)):
             raise ValueError(f"invalid part {p!r} in {lam}")
     if not ordered:
         return lam

@@ -132,8 +132,8 @@ def walk_row(mu, k):
 
 def matrix_power_apply(matrix, k, vec):
     """Exact A^k v by repeated sparse matrix-vector products."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    if not is_int_at_least(k, 0):
+        raise ValueError(f"k must be a nonnegative int, got {k!r}")
     if len(vec) != len(matrix):
         raise ValueError("dimension mismatch")
     v = list(vec)

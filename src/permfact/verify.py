@@ -15,8 +15,8 @@ A_n's eigenvalues; dual-bases' diagonal checks z, and Burnside at 1^n.
 """
 
 from collections import Counter, namedtuple
-from itertools import permutations as _perms
 from math import comb, factorial
+from operator import mul
 
 from . import oracle, transition, symfun
 from .characters import (build_character_table, character_column,
@@ -109,9 +109,9 @@ def eigen_mismatches(n, matrix, table):
     index = table.index
     bad = []
     for lam in index:
-        u = table.row(lam)
+        u, r = table.row(lam), rho(lam)
         lhs = [sum(val * u[j] for j, val in row) for row in matrix]
-        nu = _first_difference(index, lhs, [rho(lam) * x for x in u])
+        nu = _first_difference(index, lhs, [r * x for x in u])
         bad += [(lam, nu)] if nu else []
     return bad
 
@@ -124,9 +124,9 @@ def dual_eigen_mismatches(n, matrix, table):
     weights = [class_size(nu) for nu in index]
     bad = []
     for lam in index:
-        w = [x * y for x, y in zip(table.row(lam), weights)]
+        w, r = [x * y for x, y in zip(table.row(lam), weights)], rho(lam)
         lhs = symfun.times_rows(enumerate(w), matrix)
-        nu = _first_difference(index, lhs, [rho(lam) * x for x in w])
+        nu = _first_difference(index, lhs, [r * x for x in w])
         bad += [(lam, nu)] if nu else []
     return bad
 
@@ -143,6 +143,15 @@ def conjugation_mismatches(table):
                                [s * x for s, x in zip(signs, row)])
         bad += [(lam, nu)] if nu else []
     return bad
+
+
+def _compositions(n):
+    """Every composition of n, a tuple of positive parts summing to n:
+    2^(n-1) of them for n >= 1."""
+    if not n:
+        return [()]
+    return [(first,) + rest for first in range(1, n + 1)
+            for rest in _compositions(n - first)]
 
 
 def _first_difference(index, xs, ys):
@@ -228,7 +237,7 @@ def check_character_table(n_max=8):
         for a, row_a in enumerate(table.values):
             weighted = [w * x for w, x in zip(weights, row_a)]
             for b in range(a, len(table.values)):
-                dot = sum(x * y for x, y in zip(weighted, table.values[b]))
+                dot = sum(map(mul, weighted, table.values[b]))
                 if dot != (nfact if a == b else 0):
                     return _result("character-table", False,
                                    f"orthogonality at n={n} ({a},{b})")
@@ -251,12 +260,17 @@ def check_mn_vs_tableaux(n_max=6):
 
 
 def check_mn_order_invariance(n_max=6):
+    """chi^lam(mu) read with mu's parts in every order. The orders of
+    every mu of n are the compositions of n, grouped here by their
+    sorted parts."""
     for n in range(2, n_max + 1):
         index = enumerate_partitions(n)
-        orders = [set(_perms(mu)) for mu in index]
+        orders = {mu: [] for mu in index}
+        for order in _compositions(n):
+            orders[tuple(sorted(order, reverse=True))].append(order)
         for lam in index:
-            for mu, mu_orders in zip(index, orders):
-                vals = {mn_character(lam, order) for order in mu_orders}
+            for mu in index:
+                vals = {mn_character(lam, order) for order in orders[mu]}
                 if len(vals) != 1:
                     return _result("strip-order-invariance", False,
                                    f"({lam}, {mu})")
@@ -357,7 +371,7 @@ def check_dual_bases(n_max=8):
         columns = list(zip(*table.values))
         for a, col_a in enumerate(columns):
             for b in range(a, len(columns)):
-                dot = sum(x * y for x, y in zip(col_a, columns[b]))
+                dot = sum(map(mul, col_a, columns[b]))
                 if dot != (z_value(parts[a]) if a == b else 0):
                     return _result("dual-bases", False,
                                    f"({parts[a]}, {parts[b]})")

@@ -9,6 +9,7 @@ from permfact import oracle
 from permfact.characters import build_character_table
 from permfact.oracle import (identity, compose, cycle_type, transpositions,
                              class_representative, walk_distributions,
+                             BorderStripTableau, enumerate_bst,
                              count_brute, count_tuples, BRUTE_MAX_K,
                              _cycle_lengths, Poly, power_sum, is_symmetric,
                              monomial_symmetric, apply_dstar,
@@ -83,6 +84,69 @@ def _verify_class_invariance(n, k):
     for g in elements:
         per_class.setdefault(cycle_type(g), set()).add(vecs[k][index[g]])
     return all(len(vals) == 1 for vals in per_class.values())
+
+
+def _cell_by_cell_bst(lam, mu):
+    """enumerate_bst the literal way: fill lam one cell at a time, row by
+    row, with every label that keeps rows and columns weakly increasing
+    and the content mu, then keep the whole fillings whose labels are
+    each edge-connected with no 2x2 block."""
+    cells = [(r, c) for r, p in enumerate(lam) for c in range(p)]
+    fill = {}
+    remaining = list(mu)
+    found = []
+
+    def place(pos):
+        if pos == len(cells):
+            tab = tuple(tuple(fill[(r, c)] for c in range(p))
+                        for r, p in enumerate(lam))
+            t = _strips_of(lam, mu, tab)
+            if t is not None:
+                found.append(t)
+            return
+        r, c = cells[pos]
+        lo = 1
+        if c > 0:
+            lo = max(lo, fill[(r, c - 1)])
+        if r > 0:
+            lo = max(lo, fill[(r - 1, c)])
+        for label in range(lo, len(mu) + 1):
+            if remaining[label - 1] == 0:
+                continue
+            remaining[label - 1] -= 1
+            fill[(r, c)] = label
+            place(pos + 1)
+            del fill[(r, c)]
+            remaining[label - 1] += 1
+
+    place(0)
+    return found
+
+
+def _strips_of(lam, mu, tab):
+    """The tableau record of filling tab if each label's cells are
+    edge-connected with no 2x2 block, else None."""
+    height = 0
+    width = 0
+    for label in range(1, len(mu) + 1):
+        cells = {(r, c) for r, row in enumerate(tab)
+                 for c, v in enumerate(row) if v == label}
+        stack = [next(iter(cells))]
+        seen = {stack[0]}
+        while stack:
+            r, c = stack.pop()
+            for nb in ((r + 1, c), (r - 1, c), (r, c + 1), (r, c - 1)):
+                if nb in cells and nb not in seen:
+                    seen.add(nb)
+                    stack.append(nb)
+        if seen != cells:
+            return None
+        for r, c in cells:
+            if {(r + 1, c), (r, c + 1), (r + 1, c + 1)} <= cells:
+                return None
+        height += len({r for r, _ in cells}) - 1
+        width += len({c for _, c in cells}) - 1
+    return BorderStripTableau(lam, mu, tab, height, width)
 
 
 def test_cycle_type_examples():
@@ -364,3 +428,27 @@ def test_dstar_on_p1_and_constants():
         p1 = power_sum(1, N)
         assert apply_dstar(p1) == p1.scale(2 * (N - 1))
     assert apply_dstar(Poly.constant(3, 7)) == Poly(3)
+
+
+def test_label_by_label_matches_cell_by_cell():
+    # every lam and every order of every mu at n <= 6: the same records
+    # in the same order
+    for n in range(1, 7):
+        index = enumerate_partitions(n)
+        for lam in index:
+            for mu in index:
+                for order in set(permutations(mu)):
+                    assert enumerate_bst(lam, order) == \
+                        _cell_by_cell_bst(lam, order), (lam, order)
+
+
+def test_strip_extent_reads_the_definition():
+    # (top row, bottom row, columns) of outer / inner, or None
+    assert oracle._strip_extent((0, 0), (2, 1)) == (0, 1, 2)
+    assert oracle._strip_extent((1, 0), (2, 2)) == (0, 1, 2)
+    assert oracle._strip_extent((0, 0, 0), (1, 1, 1)) == (0, 2, 1)
+    assert oracle._strip_extent((2, 0), (2, 2)) == (1, 1, 2)
+    assert oracle._strip_extent((0, 0), (2, 2)) is None  # a 2x2 block
+    # cells meeting at a corner only; rows 0 and 2 grown, row 1 not
+    assert oracle._strip_extent((1, 0, 0), (2, 1, 1)) is None
+    assert oracle._strip_extent((2, 1, 0), (3, 1, 1)) is None

@@ -72,6 +72,33 @@ def test_bounds_errors():
         check_partition((True,))
 
 
+class _Part(int):
+    """An int subclass: accepted as a part, like any int but bool."""
+
+
+@pytest.mark.parametrize("lam, part", [
+    ((True,), True), ((2, False), False), ((2.0,), 2.0), ((3, 1.0), 1.0),
+    ((3, 0), 0), ((2, -1), -1), ((_Part(0),), 0), (("2",), "2"),
+])
+def test_check_partition_rejects_each_part_type_alike(lam, part):
+    for ordered in (True, False):
+        with pytest.raises(ValueError) as info:
+            check_partition(lam, ordered=ordered)
+        assert str(info.value) == f"invalid part {part!r} in {lam}"
+
+
+def test_check_partition_accepts_int_subclass_parts():
+    lam = check_partition((_Part(3), 1, _Part(1)))
+    assert lam == (3, 1, 1) and type(lam[0]) is _Part
+    assert check_partition([1, _Part(2)], ordered=False) == (1, 2)
+    with pytest.raises(ValueError) as info:
+        check_partition((1, _Part(2)))
+    assert str(info.value) == "parts not weakly decreasing: (1, 2)"
+    with pytest.raises(ValueError) as info:
+        check_partition(())
+    assert str(info.value) == "partition must be nonempty"
+
+
 def test_conjugate_examples():
     assert conjugate((3, 1)) == (2, 1, 1)
     assert conjugate((2, 1)) == (2, 1)

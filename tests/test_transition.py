@@ -168,6 +168,15 @@ def test_matrix_power_apply():
     assert matrix_power_apply(m, 0, [5, 4, 3, 2, 1]) == [5, 4, 3, 2, 1]
 
 
+def test_matrix_power_apply_takes_int_steps_only():
+    # True once ran one step, and 1.5 raised TypeError from range
+    m = build_transition_matrix(3)
+    for k in (True, 1.5):
+        with pytest.raises(ValueError, match=rf"^k must be a nonnegative "
+                                             rf"int, got {k!r}$"):
+            matrix_power_apply(m, k, [1, 0, 0])
+
+
 def test_matrix_power_matches_pair_enumeration_s3():
     # count ordered pairs of transpositions in S_3 by hand
     taus = transpositions(3)

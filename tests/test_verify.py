@@ -1,6 +1,7 @@
 import ast
 import inspect
 from bisect import insort
+from itertools import permutations
 
 import pytest
 
@@ -51,25 +52,63 @@ def test_default_report_is_pinned(capsys):
     assert capsys.readouterr().out == DEFAULT_REPORT
 
 
-def _seed_walk(monkeypatch, old, new):
-    """transition.walk_row with one phrase of its source replaced."""
-    source = inspect.getsource(transition.walk_row)
+def _seed(monkeypatch, fn, old, new):
+    """fn, rebound on its module, with one phrase of its source replaced."""
+    module = inspect.getmodule(fn)
+    source = inspect.getsource(fn)
     assert source.count(old) == 1
-    namespace = dict(vars(transition))
+    namespace = dict(vars(module))
     exec(source.replace(old, new), namespace)
-    monkeypatch.setattr(transition, "walk_row", namespace["walk_row"])
+    monkeypatch.setattr(module, fn.__name__, namespace[fn.__name__])
 
 
 def test_walk_joining_one_step_late_fails_the_count_check(monkeypatch):
-    _seed_walk(monkeypatch, "if length > need", "if length > need + 1")
+    _seed(monkeypatch, transition.walk_row, "if length > need",
+          "if length > need + 1")
     r = verify.check_counts_agree()
     assert (r.status, r.detail) == ("FAIL", "matrix (n=2, mu=(1, 1), k=2)")
 
 
 def test_minimal_walk_reading_zero_fails_the_count_check(monkeypatch):
-    _seed_walk(monkeypatch, "len(mu) + k >= n", "len(mu) + k > n")
+    _seed(monkeypatch, transition.walk_row, "len(mu) + k >= n",
+          "len(mu) + k > n")
     r = verify.check_counts_agree()
     assert (r.status, r.detail) == ("FAIL", "matrix (n=2, mu=(1, 1), k=0)")
+
+
+def test_strip_test_admitting_a_2x2_block_fails_the_tableau_check(
+        monkeypatch):
+    # (2, 2) filled with one label is a 2x2 block; admitted, it is a
+    # tableau of height 1 and chi^(2,2)((4,)) = 0 reads -1
+    _seed(monkeypatch, oracle._strip_extent, "outer[s] > inner[r] + 1",
+          "False")
+    assert verify.check_mn_vs_tableaux(n_max=3).status == "PASS"
+    r = verify.check_mn_vs_tableaux(n_max=4)
+    assert (r.status, r.detail) == ("FAIL", "((2, 2), (4,))")
+
+
+def test_order_invariance_reads_each_composition_once(monkeypatch):
+    calls = []
+    mn = verify.mn_character
+    monkeypatch.setattr(verify, "mn_character",
+                        lambda lam, mu: calls.append((lam, mu)) or mn(lam, mu))
+    assert verify.check_mn_order_invariance(n_max=7).status == "PASS"
+    for n in range(2, 8):
+        compositions = {order for mu in enumerate_partitions(n)
+                        for order in permutations(mu)}
+        assert len(compositions) == 2 ** (n - 1)
+        for lam in enumerate_partitions(n):
+            read = [mu for nu, mu in calls if nu == lam]
+            assert sorted(read) == sorted(compositions), lam
+
+
+def test_order_dependent_character_fails_order_invariance(monkeypatch):
+    # one more wherever mu's parts are not sorted
+    mn = verify.mn_character
+    monkeypatch.setattr(verify, "mn_character", lambda lam, mu: mn(lam, mu) + (
+        list(mu) != sorted(mu, reverse=True)))
+    r = verify.check_mn_order_invariance()
+    assert (r.status, r.detail) == ("FAIL", "((1, 1, 1), (2, 1))")
 
 
 def test_a_row_added_to_the_table_is_compared(monkeypatch):
