@@ -149,10 +149,10 @@ class CharacterTable:
         if kinds:
             raise ValueError(f"character values must be ints, not "
                              f"{', '.join(sorted(t.__name__ for t in kinds))}")
-        bad = dimension_offenders(index, [row[0] for row in values])
-        if bad:
-            raise ValueError(f"dimension of {bad[0]} in the character table "
-                             f"disagrees with the hook length formula")
+        for lam, row in zip(index, values):
+            if row[0] != dimension_hook_formula(lam):
+                raise ValueError(f"dimension of {lam} in the character table "
+                                 f"disagrees with the hook length formula")
         self.n = index.n
         self.index = index
         self.values = values
@@ -176,9 +176,3 @@ def build_character_table(n):
         return CharacterTable(index, values)
     except ValueError as exc:
         raise RuntimeError(f"strip recursion: {exc}") from exc
-
-
-def dimension_offenders(index, dims):
-    """Shapes lam whose entry in dims differs from the hook length formula."""
-    return [lam for lam, dim in zip(index, dims)
-            if dim != dimension_hook_formula(lam)]

@@ -95,15 +95,10 @@ def conjugate(lam):
     return tuple(out)
 
 
-def multiplicities(lam):
-    """Part multiplicities k_i = #{parts equal to i} as a Counter."""
-    return Counter(lam)
-
-
 def z_value(lam):
     """prod_i i^{k_i} k_i! for the multiplicities k_i of lam."""
     z = 1
-    for i, k in multiplicities(lam).items():
+    for i, k in Counter(lam).items():
         z *= i ** k * factorial(k)
     return z
 

@@ -82,8 +82,8 @@ def _moves(key, P, joins=True):
 
 def build_transition_matrix(n):
     """Construct A_n row by row from the move rule."""
-    if n < 2:
-        raise ValueError("transition matrix needs n >= 2")
+    if not is_int_at_least(n, 2):
+        raise ValueError(f"transition matrix needs an int n >= 2, got {n!r}")
     P = _slot_powers(n)
     keys = [_key(t, P) for t in enumerate_partitions(n)]
     rank = {key: r for r, key in enumerate(keys)}

@@ -169,6 +169,21 @@ def test_changed_z_fails_dual_bases(monkeypatch):
     assert (r.status, r.detail) == ("FAIL", "((2, 2), (2, 2))")
 
 
+def test_changed_class_size_fails_eigen_relations(monkeypatch):
+    # |C_(2,2)| = 3 read as 6: with A u = rho u, A^T w = rho w for
+    # w = |C| chi gives the double counting |C_t| A[t][s] = |C_s| A[s][t];
+    # matrix-vs-raw compares entries only, so it passes
+    class_size = verify.class_size
+    monkeypatch.setattr(verify, "class_size", lambda mu: class_size(mu) * (
+        2 if mu == (2, 2) else 1))
+    r = verify.check_eigen_relations()
+    assert (r.status, r.detail) == \
+        ("FAIL", "n=4: A^T w at ((1, 1, 1, 1), (2, 1, 1))")
+    r = verify.check_mass_conservation()
+    assert (r.status, r.detail) == ("FAIL", "(n=4, k=2)")
+    assert verify.check_matrix_vs_raw().status == "PASS"
+
+
 def test_seeded_fault_is_located():
     n = 6
     index = enumerate_partitions(n)
@@ -339,7 +354,8 @@ def test_orthogonality_fault_is_reported(monkeypatch):
 
     _changed_table(monkeypatch, 4, bump)
     r = verify.check_character_table(n_max=5)
-    assert (r.status, r.detail) == ("FAIL", "orthogonality at n=4 (0,1)")
+    assert (r.status, r.detail) == \
+        ("FAIL", "conjugation at ((2, 1, 1), (2, 2))")
     r = verify.check_dual_bases(n_max=5)
     assert (r.status, r.detail) == ("FAIL", "((1, 1, 1, 1), (2, 2))")
 
@@ -357,11 +373,14 @@ def test_mutated_strip_walk_fails_dual_bases(monkeypatch):
 
 
 def test_dimension_fault_is_reported(monkeypatch):
+    # every table build compares the hook formula, so the battery raises
+    # at the first check that builds S_4's table
     hook = characters.dimension_hook_formula
     monkeypatch.setattr(characters, "dimension_hook_formula",
                         lambda lam: hook(lam) + (lam == (2, 1, 1)))
-    r = verify.check_character_table(n_max=5)
-    assert (r.status, r.detail) == ("FAIL", "dimension at (2, 1, 1)")
+    for run in (lambda: verify.check_character_table(n_max=5), run_battery):
+        with pytest.raises(RuntimeError, match=r"dimension of \(2, 1, 1\)"):
+            run()
 
 
 def test_dstar_faults_are_located(monkeypatch):
