@@ -1,41 +1,35 @@
 """Irreducible character values of S_n, combinatorially.
 
-Shapes are beta-sets held as bitmasks, and one helper slides a bead by
-+r or -r to add or remove a border strip of size r. mn_character peels
-strips recursively; character_column adds them to the empty shape and
-yields column mu over its support only. Dimensions come from hook
-lengths as a third route. The raw-definition reference, explicit
+Shapes of n are beta-sets of n beads held as bitmasks, and sliding a
+bead up by r adds a border strip of size r (Murnaghan-Nakayama in abacus
+form). One walk adds strips to the empty shape: character_column reads
+it for one column over its support, build_character_table for every
+column, and mn_character for one value. Dimensions come from hook
+lengths as a second route. The raw-definition reference, explicit
 border strip tableaux, is oracle.enumerate_bst.
 """
 
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import accumulate
 from math import factorial, prod
 
 from .partitions import enumerate_partitions, check_partition, hook_lengths
 
-# Most shapes character_column may hold while adding one part. The
-# largest inputs measured fit: (20,15,10,8,5,3,2,1) at n = 64 peaks at
-# 439,482 and (40,30,20,10) at 224,900. (30,25,20,15,10,5,3,2) at
-# n = 110 passes 1,000,000 at its seventh part and, uncapped, ran out of
-# memory at its eighth.
+# Most shapes the walk may hold after adding one part. The largest
+# inputs measured fit: (20,15,10,8,5,3,2,1) at n = 64 peaks at 439,482
+# and (40,30,20,10) at 224,900. (30,25,20,15,10,5,3,2) at n = 110 passes
+# 1,000,000 at its seventh part and, uncapped, ran out of memory at its
+# eighth.
 COLUMN_MAX_STATES = 1_000_000
 
 
-def _beads(lam):
-    """Beta-set of lam as a bitmask, one bead per part: part i of L sits
-    at position lam_i + (L - 1 - i). Only the empty shape has a bead-free
-    mask, and no other mask has a bead at 0, so a shape has one mask at
-    every n."""
-    mask = 0
-    for i, p in enumerate(reversed(lam)):
-        mask |= 1 << (p + i)
+def _beads(lam, n):
+    """Beta-set of lam with n beads as a bitmask: lam padded with zeros
+    to n parts, part i at position lam_i + (n - 1 - i)."""
+    mask = (1 << (n - len(lam))) - 1  # the zero parts
+    for i, p in enumerate(lam):
+        mask |= 1 << (p + n - 1 - i)
     return mask
-
-
-def _canonical(mask):
-    """Shift out the beads at 0, 1, ...: they stand for parts of size 0."""
-    return mask >> ((mask ^ (mask + 1)).bit_length() - 1)
 
 
 def _shape(mask):
@@ -46,62 +40,27 @@ def _shape(mask):
     return tuple(p for p in reversed(parts) if p)
 
 
-def _slides(mask, step):
-    """(new mask, strip height) for every bead that can move by step onto
-    an empty position >= 0. A move by +r adds a border strip of size r and
-    a move by -r removes one (Murnaghan-Nakayama in abacus form); the
-    height is the number of beads strictly between the two positions."""
-    r = abs(step)
-    if step > 0:
-        movable = mask & ~(mask >> r)
-    else:
-        movable = (mask & ~(mask << r)) >> r << r
+def _slides(mask, r):
+    """(new mask, strip height) for every bead that can move up by r onto
+    an empty position, which adds a border strip of size r; the height is
+    the number of beads strictly between the two positions."""
+    movable = mask & ~(mask >> r)
     between = (1 << (r - 1)) - 1
     while movable:
         b = movable.bit_length() - 1
         movable ^= 1 << b
-        height = ((mask >> (min(b, b + step) + 1)) & between).bit_count()
-        yield mask ^ (1 << b) ^ (1 << (b + step)), height
+        height = ((mask >> (b + 1)) & between).bit_count()
+        yield mask ^ (1 << b) ^ (1 << (b + r)), height
 
 
-def mn_character(lam, mu):
-    """chi^lam(mu) by recursive border-strip removal.
-
-    Parts of mu, positive ints in any order, are consumed left to right
-    as given; the value does not depend on that order (tested, not
-    assumed).
-    """
-    lam = check_partition(lam)
-    mu = check_partition(mu, ordered=False)
-    if sum(lam) != sum(mu):
-        raise ValueError(f"size mismatch: |{lam}| != |{mu}|")
-    return _mn(_beads(lam), mu)
-
-
-@cache
-def _mn(mask, mu):
-    if not mu:
-        return 1 if not mask else 0
-    rest = mu[1:]
-    total = 0
-    for smaller, height in _slides(mask, -mu[0]):
-        value = _mn(_canonical(smaller), rest)
-        total += -value if height % 2 else value
-    return total
-
-
-def character_column(mu):
-    """{lam: chi^lam(mu)} over exactly the lam where it is nonzero.
-
-    Border strips of sizes mu's parts, smallest first, are added to the
-    empty shape, held as n beads at 0 .. n-1, carrying signed values; a
-    shape whose value sums to 0 is dropped after each part. The value
-    does not depend on the order of the parts, and small strips first
-    keep the early supports small. P(n) is never enumerated, so the cost
-    follows the support, not p(n). More than COLUMN_MAX_STATES shapes
-    after any part is a ValueError, raised as soon as they are reached."""
-    mu = check_partition(mu)
-    states = {(1 << sum(mu)) - 1: 1}
+def _added(mu):
+    """{mask: chi(mu)} over the support of column mu: strips of mu's
+    parts, last part first, added to the n-bead empty shape, carrying
+    signed values; a shape whose value sums to 0 is dropped after each
+    part. More than COLUMN_MAX_STATES shapes after any part is a
+    ValueError naming mu, raised as soon as they are reached."""
+    n = sum(mu)
+    states = {_beads((), n): 1}
     for r in reversed(mu):
         grown = {}
         for mask, value in states.items():
@@ -113,7 +72,39 @@ def character_column(mu):
                                  f"shapes than COLUMN_MAX_STATES = "
                                  f"{COLUMN_MAX_STATES}")
         states = {mask: value for mask, value in grown.items() if value}
-    return {_shape(mask): value for mask, value in states.items()}
+    return states
+
+
+def character_column(mu):
+    """{lam: chi^lam(mu)} over exactly the lam where it is nonzero.
+
+    Strips are added smallest part first, which keeps the early supports
+    small. P(n) is never enumerated, so the cost follows the support,
+    not p(n). Past COLUMN_MAX_STATES shapes it raises ValueError."""
+    mu = check_partition(mu)
+    return {_shape(mask): value for mask, value in _added(mu).items()}
+
+
+def mn_character(lam, mu):
+    """chi^lam(mu) by border-strip addition.
+
+    Parts of mu, positive ints in any order, are added last part first
+    as given; the value does not depend on that order (tested, not
+    assumed). The walk behind one mu is kept for the next lam, up to
+    512 orders of mu. Past COLUMN_MAX_STATES shapes it raises
+    ValueError, as character_column does.
+    """
+    lam = check_partition(lam)
+    mu = check_partition(mu, ordered=False)
+    n = sum(mu)
+    if sum(lam) != n:
+        raise ValueError(f"size mismatch: |{lam}| != |{mu}|")
+    return _mn_column(mu).get(_beads(lam, n), 0)
+
+
+# for each lam, the deep battery reads all 511 orders of the mu of n <= 9;
+# a caller reading every lam for one mu walks it once
+_mn_column = lru_cache(maxsize=512)(_added)
 
 
 def dimension_hook_formula(lam):
@@ -162,17 +153,19 @@ class CharacterTable:
 
 
 def _table_rows(index):
-    return [[_mn(mask, nu) for nu in index]
-            for mask in map(_beads, index)]
+    columns = [_added(nu) for nu in index]
+    return [[column.get(mask, 0) for column in columns]
+            for mask in (_beads(lam, index.n) for lam in index)]
 
 
 def build_character_table(n):
-    """Full character table via the strip recursion. CharacterTable checks
-    its first column against the hook length formula; a table built here
-    that fails is a fault of the builder, raised as RuntimeError."""
+    """Full character table, one strip walk per column. CharacterTable
+    checks its first column against the hook length formula; a table
+    built here that fails is a fault of the builder, raised as
+    RuntimeError."""
     index = enumerate_partitions(n)
     values = _table_rows(index)
     try:
         return CharacterTable(index, values)
     except ValueError as exc:
-        raise RuntimeError(f"strip recursion: {exc}") from exc
+        raise RuntimeError(f"strip walk: {exc}") from exc

@@ -7,7 +7,7 @@ over all n! group elements and count_tuples enumerates transposition
 tuples literally. build_raw_counts tallies the entries of A_n by acting
 with every transposition on one element of each class. enumerate_bst
 lists border strip tableaux label by label, the definition that the
-strip recursion for characters is checked against. Permutations are
+strip walk for characters is checked against. Permutations are
 tuples of images in one-line notation on {0, ..., n-1}, composed as
 (p * q)(x) = p(q(x)).
 
@@ -170,8 +170,8 @@ def _tuple_products(n, k):
 def build_raw_counts(n):
     """Transition counts tallied by acting with every transposition on a
     fixed representative of each class. Row t, column s: moves t -> s."""
-    if n < 2:
-        raise ValueError("raw counts need n >= 2")
+    if not is_int_at_least(n, 2):
+        raise ValueError(f"raw counts need an int n >= 2, got {n!r}")
     index = enumerate_partitions(n)
     taus = transpositions(n)
     rows = []

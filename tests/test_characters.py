@@ -180,10 +180,24 @@ def test_character_column_is_table_support():
 
 
 def test_column_state_cap(monkeypatch):
+    characters._mn_column.cache_clear()
     monkeypatch.setattr(characters, "COLUMN_MAX_STATES", 5)
     assert len(character_column((4,))) == 4
     with pytest.raises(ValueError, match=r"COLUMN_MAX_STATES = 5$"):
         character_column((1,) * 6)
+    assert mn_character((2, 2), (2, 1, 1)) == 0
+    # mn_character names mu as given, the order it walks and keeps
+    with pytest.raises(ValueError, match=r"of \(1, 2, 1, 1, 1\) .* "
+                       r"COLUMN_MAX_STATES = 5$"):
+        mn_character((2, 2, 2), (1, 2, 1, 1, 1))
+
+
+def test_mn_character_walks_one_column_per_mu():
+    characters._mn_column.cache_clear()
+    mu = (4, 3, 3, 1, 1)
+    assert [mn_character(lam, mu) for lam in enumerate_partitions(12)] == \
+        [character_column(mu).get(lam, 0) for lam in enumerate_partitions(12)]
+    assert characters._mn_column.cache_info().misses == 1
 
 
 def test_orthogonality_exact():

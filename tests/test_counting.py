@@ -392,9 +392,9 @@ def _mutation_never_silent(monkeypatch, target, name, mutant):
 def test_walk_with_flipped_height_one_sign_raises(monkeypatch):
     slides = characters._slides
 
-    def flipped(mask, step):  # strips added with height 1 count as even
-        for larger, height in slides(mask, step):
-            yield larger, height + (step > 0 and height == 1)
+    def flipped(mask, r):  # strips of height 1 count as even
+        for larger, height in slides(mask, r):
+            yield larger, height + (height == 1)
 
     _mutation_never_silent(monkeypatch, characters, "_slides", flipped)
     with pytest.raises(RuntimeError):

@@ -234,6 +234,12 @@ def test_matrix_size_must_be_an_int_at_least_2(n):
         build_transition_matrix(n)
 
 
+@pytest.mark.parametrize("n", [2.5, 3.0, "3", True, 1])
+def test_raw_count_size_must_be_an_int_at_least_2(n):
+    with pytest.raises(ValueError, match=r"int n >= 2"):
+        build_raw_counts(n)
+
+
 def test_wrong_size_operands_are_rejected():
     # a matrix or table for another n is refused, not compared: the
     # comparison would pass, report bogus mismatches or die on an index

@@ -12,7 +12,7 @@ from permfact.characters import CharacterTable, build_character_table
 from permfact.verify import (run_battery, check_dstar, check_two_cycle,
                              eigen_mismatches)
 from permfact.transition import build_transition_matrix
-from permfact.partitions import enumerate_partitions
+from permfact.partitions import conjugate, enumerate_partitions
 
 
 def test_quick_battery_passes():
@@ -363,13 +363,30 @@ def test_orthogonality_fault_is_reported(monkeypatch):
 def test_mutated_strip_walk_fails_dual_bases(monkeypatch):
     slides = characters._slides
 
-    def flipped(mask, step):  # strips added with height 1 count as even
-        for larger, height in slides(mask, step):
-            yield larger, height + (step > 0 and height == 1)
+    def flipped(mask, r):  # strips of height 1 count as even
+        for larger, height in slides(mask, r):
+            yield larger, height + (height == 1)
 
     monkeypatch.setattr(characters, "_slides", flipped)
     r = verify.check_dual_bases(n_max=5)
-    assert (r.status, r.detail) == ("FAIL", "strip addition at column (2,)")
+    assert (r.status, r.detail) == ("FAIL", "((1, 1), (2,))")
+
+
+def test_conjugated_shape_decoding_is_caught(monkeypatch):
+    # the table looks shapes up by mask, so only the count column decodes
+    # them: every count check reads the column under conjugated labels
+    shape = characters._shape
+    monkeypatch.setattr(characters, "_shape",
+                        lambda mask: conjugate(shape(mask)))
+    for check in (verify.check_counts_agree, verify.check_parity_vanishing,
+                  verify.check_mass_conservation):
+        with pytest.raises(RuntimeError):
+            check()
+    assert verify.check_goulden() == ("single-cycle-closed-form", "FAIL",
+                                      "mu=(2,)")
+    assert verify.check_two_cycle() == ("two-cycle-closed-form", "FAIL",
+                                        "mu=(2, 1)")
+    assert verify.check_dual_bases().status == "PASS"
 
 
 def test_dimension_fault_is_reported(monkeypatch):
