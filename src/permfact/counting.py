@@ -222,14 +222,11 @@ ROUTES = {
 # generating-function prefix
 
 
-class SeriesPrefix(namedtuple("SeriesPrefix", "mu coefficients")):
-    """mu and the Fractions c_j(mu)/j! for j = 0 .. terms-1."""
+class SeriesPrefix(namedtuple("SeriesPrefix",
+                               "mu coefficients nonzero_parity")):
+    """mu, the Fractions c_j(mu)/j! for j = 0 .. terms-1, and the residue
+    r mod 2 such that coefficients vanish off j = r (mod 2)."""
     __slots__ = ()
-
-    @property
-    def nonzero_parity(self):
-        """Residue r mod 2 such that coefficients vanish off j = r (mod 2)."""
-        return (sum(self.mu) - len(self.mu)) % 2
 
 
 def series_prefix(mu, terms):
@@ -245,4 +242,5 @@ def series_prefix(mu, terms):
         raise ValueError(f"terms must be a positive int, got {terms!r}")
     expansion = spectral_expansion(mu)
     return SeriesPrefix(mu, tuple(Fraction(expansion.at(j), factorial(j))
-                                  for j in range(terms)))
+                                  for j in range(terms)),
+                        (1 - expansion.sign) // 2)

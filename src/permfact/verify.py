@@ -11,10 +11,14 @@ not in the route modules, and oracle holds the raw-definition
 references. Which mu a route answers, and its expansion, are read from
 counting.ROUTES. No clause restates another: rho-conjugation with
 parity-census gives rho = 0 at self-conjugate lam and the +-r pairing of
-A_n's eigenvalues; dual-bases' diagonal checks z, and Burnside at 1^n.
-Dual-bases' column orthogonality is the table's row orthogonality too;
-eigen-relations' two sides give A_n's double counting |C_t| A[t][s] =
-|C_s| A[s][t]; CharacterTable checks each table's hook dimensions.
+A_n's eigenvalues. spectral_expansion's norm check, run by
+spectral-vs-matrix on every column it reads, carries z_mu, and Burnside
+at 1^n; with it, dual-bases' column orthogonality is the table's row
+orthogonality too. Spectral-vs-matrix also carries the zeros of c_k
+below n - l, since A^k e does; eigen-relations' two sides give A_n's
+double counting |C_t| A[t][s] = |C_s| A[s][t], and its dual side with
+diff-operator's power-sum clause the Schur eigenfunctions K (D - 2nN) =
+diag(2 rho - 2n) K; CharacterTable checks each table's hook dimensions.
 The table, the count columns and mn_character read one strip walk, so
 no clause compares them with each other: the count checks read the
 column's shapes, and the tableaux check reads mn_character.
@@ -27,8 +31,7 @@ from operator import mul
 from . import oracle, transition, symfun
 from .characters import build_character_table, mn_character
 from .counting import ROUTES, spectral_expansion
-from .partitions import (enumerate_partitions, conjugate, class_size, rho,
-                         z_value)
+from .partitions import enumerate_partitions, conjugate, class_size, rho
 
 
 class CheckResult(namedtuple("CheckResult", "name status detail")):
@@ -315,16 +318,15 @@ def check_two_cycle(n_max=8):
 
 
 def check_parity_vanishing(n_max=6, k_max=10):
-    """c_k(mu) = 0 unless k >= n - l and k = n - l mod 2, read on that
-    parity: at(k) is 0 off it by construction, compared with A^k by
-    spectral-vs-matrix, and the builder of each expansion read here
-    raises where the pairing a_-r = (-1)^(n-l) a_r behind it fails."""
+    """c_k(mu) > 0 at every k >= n - l with k = n - l mod 2. The zeros,
+    below n - l and off that parity, are spectral-vs-matrix's, which
+    compares every k with A^k e, and the builder of each expansion read
+    here raises where the pairing a_-r = (-1)^(n-l) a_r behind it fails."""
     for n in range(2, n_max + 1):
         for mu in enumerate_partitions(n):
             expansion = spectral_expansion(mu)
-            dist = n - len(mu)
-            for k in range(dist % 2, k_max + 1, 2):
-                if (k < dist) != (expansion.at(k) == 0):
+            for k in range(n - len(mu), k_max + 1, 2):
+                if expansion.at(k) <= 0:
                     return _result("count-parity", False, f"(mu={mu}, k={k})")
     return _result("count-parity", True,
                    f"n <= {n_max}, k <= {k_max}; a_-r = (-1)^(n-l) a_r")
@@ -343,17 +345,17 @@ def check_mass_conservation(n_max=6, k_max=8):
 
 
 def check_dual_bases(n_max=8):
-    """sum_lam chi^lam(mu) chi^lam(nu) = z_mu delta(mu, nu), the power-sum
-    side of the Hall pairing; on the square table it holds exactly when
-    the rows are orthogonal, the Schur side."""
+    """sum_lam chi^lam(mu) chi^lam(nu) = 0 for mu != nu, the power-sum
+    side of the Hall pairing. The diagonal z_mu is spectral_expansion's
+    norm check on the same strip walk's column; with it, the square
+    table's rows are orthogonal too, the Schur side."""
     for n in range(1, n_max + 1):
         table = build_character_table(n)
         parts = table.index.ordered
         columns = list(zip(*table.values))
         for a, col_a in enumerate(columns):
-            for b in range(a, len(columns)):
-                dot = sum(map(mul, col_a, columns[b]))
-                if dot != (z_value(parts[a]) if a == b else 0):
+            for b in range(a + 1, len(columns)):
+                if sum(map(mul, col_a, columns[b])):
                     return _result("dual-bases", False,
                                    f"({parts[a]}, {parts[b]})")
     return _result("dual-bases", True, f"n <= {n_max}")
@@ -368,8 +370,9 @@ def check_omega(n_max=5):
 
 
 def check_dstar(n_max=8):
-    """For every N >= n at once: K unitriangular, K (D - 2nN) =
-    diag(2 rho - 2n) K and R (D - 2nN) = (2A - 2n) R. Up to DSTAR_MAX_N,
+    """For every N >= n at once: K unitriangular and R (D - 2nN) =
+    (2A - 2n) R. K = chi diag(|C|) R / n!, so with eigen-relations' dual
+    side this gives K (D - 2nN) = diag(2 rho - 2n) K. Up to DSTAR_MAX_N,
     also oracle.apply_dstar on each m_lam in N = n+1 and n+2 variables."""
     raw_max = min(n_max, oracle.DSTAR_MAX_N)
     for n in range(1, n_max + 1):
@@ -381,12 +384,6 @@ def check_dstar(n_max=8):
             if row[-1:] != [(r, 1)]:
                 return _result("diff-operator", False,
                                f"Kostka not unitriangular (n={n}) at {lam}")
-            mu = _first_difference(
-                index, symfun.times_rows(row, dstar),
-                symfun.times_rows([(r, 2 * rho(lam) - 2 * n)], kostka))
-            if mu:
-                return _result("diff-operator", False,
-                               f"eigenfunction (n={n}) at ({lam}, {mu})")
         moves = transition.build_transition_matrix(n) if n > 1 else [[]]
         for r, (nu, row, move) in enumerate(zip(index, pour, moves)):
             mu = _first_difference(

@@ -1,6 +1,7 @@
-"""The routes' agreement past tier-1's sizes, each check in a child process
-that fails on a nonzero exit or past its time limit. Tier-1 collects only
-test_*.py; run `PYTHONPATH=src python -m pytest -q tests/scale_checks.py`."""
+"""The routes' agreement past tier-1's sizes, the deep battery's report and
+the benchmark's workloads, each check in a child process that fails on a
+nonzero exit or past its time limit. Tier-1 collects only test_*.py; run
+`PYTHONPATH=src python -m pytest -q tests/scale_checks.py`."""
 import csv
 import functools
 import hashlib
@@ -22,8 +23,9 @@ from permfact.partitions import class_size, enumerate_partitions
 from permfact.transition import build_transition_matrix
 from permfact.verify import check_census, check_dstar, check_rho_symmetries
 
+ROOT = Path(__file__).parents[1]
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
-    str(Path(__file__).parents[1] / "src"), os.getenv("PYTHONPATH")))))
+    str(ROOT / "src"), os.getenv("PYTHONPATH")))))
 
 
 def run(*args, limit=60):
@@ -33,6 +35,45 @@ def run(*args, limit=60):
 
 
 permfact = functools.partial(run, "-m", "permfact.cli")
+
+
+DEEP_REPORT = """\
+rho-conjugation              PASS  n <= 15
+parity-census                PASS  n <= 15
+matrix-vs-raw                PASS  n <= 10
+matrix-structure             PASS  n <= 15
+eigen-relations              PASS  n <= 12
+character-table              PASS  n <= 12
+strip-recursion-vs-tableaux  PASS  n <= 8
+strip-order-invariance       PASS  n <= 9
+spectral-vs-matrix           PASS  matrix n <= 12 k <= 30, walk n <= 10 k in {n-l, n-l+2}, brute n <= 7 k <= 7
+single-cycle-closed-form     PASS  n <= 10, every k
+two-cycle-closed-form        PASS  n <= 10, every k
+count-parity                 PASS  n <= 8, k <= 16; a_-r = (-1)^(n-l) a_r
+mass-conservation            PASS  n <= 7, k <= 10
+dual-bases                   PASS  n <= 12
+omega-involution             PASS  n <= 6
+diff-operator                PASS  n <= 12, every N >= n; raw operator n <= 5, N in {n+1, n+2}
+16/16 checks passed
+"""
+
+
+def test_deep_battery_report():
+    # the whole report, so a dropped check or a lowered scale fails too
+    assert permfact("verify", "--deep").decode() == DEEP_REPORT
+
+
+# Tracing wraps each module's functions once they are loaded. The CLI
+# imports each route inside its subcommand and the package binds a
+# name on first read, so both must still reach the wrappers.
+@pytest.mark.parametrize("workload", [
+    "matrix-reach", "matrix-reach --trace 1", "cold-count", "warm-series",
+    "crosscheck", "cold-count --trace 1", "crosscheck --trace 1"])
+def test_workload_answers_correctly(workload):
+    # every answer of one second of the workload against its checks
+    out = run(str(ROOT / "perfbench" / "run.py"), "--workload",
+              *workload.split(), "--seed", "1", "--seconds", "1", limit=300)
+    assert json.loads(out.splitlines()[-1])["correct"] is True
 
 
 def test_character_table_at_20_is_byte_stable():

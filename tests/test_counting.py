@@ -271,16 +271,16 @@ def test_series_prefix_examples():
 def test_series_prefix_record():
     # keyword fields, repr, value equality and hash, no assignment
     assert list(inspect.signature(SeriesPrefix).parameters) == \
-        ["mu", "coefficients"]
+        ["mu", "coefficients", "nonzero_parity"]
     p = SeriesPrefix(mu=(2,), coefficients=(Fraction(0), Fraction(1),
-                                            Fraction(0)))
+                                            Fraction(0)), nonzero_parity=1)
     assert repr(p) == ("SeriesPrefix(mu=(2,), coefficients=(Fraction(0, 1), "
-                       "Fraction(1, 1), Fraction(0, 1)))")
+                       "Fraction(1, 1), Fraction(0, 1)), nonzero_parity=1)")
     same = series_prefix((2,), 3)
     assert p == same and hash(p) == hash(same)
     assert p != series_prefix((2,), 4)
-    assert p.nonzero_parity == 1
-    assert SeriesPrefix(mu=(1, 1), coefficients=()).nonzero_parity == 0
+    # the parity is the expansion's sign, read by series_prefix
+    assert series_prefix((1, 1), 1).nonzero_parity == 0
     with pytest.raises(AttributeError):
         p.mu = (1, 1)
     with pytest.raises(AttributeError):

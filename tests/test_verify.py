@@ -160,13 +160,36 @@ def test_count_off_its_parity_fails_the_count_check(monkeypatch):
     assert (r.status, r.detail) == ("FAIL", "brute (n=1, mu=(1,), k=1)")
 
 
-def test_changed_z_fails_dual_bases(monkeypatch):
-    # z_(2,2) = 8 read as 16: the diagonal sum_lam chi^lam(mu)^2 is z_mu
-    z_value = verify.z_value
-    monkeypatch.setattr(verify, "z_value", lambda mu: z_value(mu) * (
+def _deep_battery_fails():
+    """Whether run_battery(deep=True) reports a FAIL line or raises."""
+    try:
+        return any(r.status == "FAIL" for r in run_battery(deep=True))
+    except RuntimeError:
+        return True
+
+
+def test_changed_z_fails_the_spectral_norm_check(monkeypatch):
+    # z_(2,2) = 8 read as 16: the diagonal sum_lam chi^lam(mu)^2 is z_mu,
+    # checked on each column spectral-vs-matrix expands; dual-bases reads
+    # the off-diagonal only
+    z_value = counting.z_value
+    monkeypatch.setattr(counting, "z_value", lambda mu: z_value(mu) * (
         2 if mu == (2, 2) else 1))
-    r = verify.check_dual_bases()
-    assert (r.status, r.detail) == ("FAIL", "((2, 2), (2, 2))")
+    assert verify.check_dual_bases().status == "PASS"
+    with pytest.raises(RuntimeError, match="squared norm z = 16"):
+        run_battery(deep=True)
+
+
+def test_count_below_its_distance_fails_the_count_check(monkeypatch):
+    # c_0((3,)) read as 1: on the live parity but below n - l = 2, where
+    # A^k e is 0; count-parity reads k >= n - l only
+    at = counting.Expansion.at
+    monkeypatch.setattr(counting.Expansion, "at", lambda self, k: at(
+        self, k) or int(self.n >= 2 and (-1) ** (k % 2) == self.sign))
+    assert verify.check_parity_vanishing().status == "PASS"
+    r = verify.check_counts_agree()
+    assert (r.status, r.detail) == ("FAIL", "(n=3, mu=(3,), k=0)")
+    assert _deep_battery_fails()
 
 
 def test_changed_class_size_fails_eigen_relations(monkeypatch):
@@ -332,7 +355,8 @@ def test_swapped_rows_fail_only_the_conjugation_clause(monkeypatch):
 def test_dimension_changed_with_the_hook_formula_fails_dual_bases(
         monkeypatch):
     # chi^(2, 1)(1^3) read as 3 by the table and the hook formula alike:
-    # Burnside's sum_lam dim(lam)^2 = n! is dual-bases' (1^n, 1^n) entry
+    # Burnside's sum_lam dim(lam)^2 = n! is the spectral pairing at 1^n,
+    # and A u = rho u and the columns' orthogonality fail on the table
     table = build_character_table(3)
     values = [list(row) for row in table.values]
     values[table.index.position((2, 1))][0] += 1
@@ -344,7 +368,11 @@ def test_dimension_changed_with_the_hook_formula_fails_dual_bases(
     monkeypatch.setattr(verify, "build_character_table",
                         lambda m: changed if m == 3 else build(m))
     r = verify.check_dual_bases()
-    assert (r.status, r.detail) == ("FAIL", "((1, 1, 1), (1, 1, 1))")
+    assert (r.status, r.detail) == ("FAIL", "((1, 1, 1), (3,))")
+    r = verify.check_eigen_relations()
+    assert (r.status, r.detail) == ("FAIL", "n=3: A u at ((2, 1), (2, 1))")
+    with pytest.raises(RuntimeError, match="not orthogonal"):
+        run_battery(deep=True)
 
 
 def test_orthogonality_fault_is_reported(monkeypatch):
@@ -401,7 +429,8 @@ def test_dimension_fault_is_reported(monkeypatch):
 
 
 def test_dstar_faults_are_located(monkeypatch):
-    # D m_31 holds 12 m_211 at n = 4; 14 instead breaks K D = diag K there
+    # D m_31 holds 12 m_211 at n = 4; 14 instead breaks R D = (2A) R, and
+    # so K D = diag K, at column (2, 1, 1)
     rows = symfun.dstar_rows
 
     def changed(n):
@@ -414,7 +443,27 @@ def test_dstar_faults_are_located(monkeypatch):
     monkeypatch.setattr(symfun, "dstar_rows", changed)
     r = check_dstar(n_max=5)
     assert (r.status, r.detail) == \
-        ("FAIL", "eigenfunction (n=4) at ((3, 1), (2, 1, 1))")
+        ("FAIL", "power sums (n=4) at ((1, 1, 1, 1), (2, 1, 1))")
+    assert _deep_battery_fails()
+
+
+def test_swapped_kostka_rows_fail_unitriangularity(monkeypatch):
+    # K's rows for (3, 1) and (2, 1, 1) swapped at n = 4: still integers,
+    # and K D = diag K is no longer compared
+    kostka = symfun.kostka_rows
+
+    def swapped(table, pour):
+        rows = kostka(table, pour)
+        if table.n == 4:
+            a, b = (table.index.position(lam) for lam in ((3, 1), (2, 1, 1)))
+            rows[a], rows[b] = rows[b], rows[a]
+        return rows
+
+    monkeypatch.setattr(symfun, "kostka_rows", swapped)
+    r = check_dstar(n_max=5)
+    assert (r.status, r.detail) == \
+        ("FAIL", "Kostka not unitriangular (n=4) at (2, 1, 1)")
+    assert _deep_battery_fails()
 
 
 def test_dstar_dropped_pair_is_caught(monkeypatch):
